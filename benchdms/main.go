@@ -59,6 +59,9 @@ type workload interface {
 	daemonFlags(dir string, traced bool) []string
 	// setup brings a fresh daemon to the state the phase starts from.
 	setup(r *repeat) error
+	// warmup runs untimed load of the phase's kind after set-up, so the
+	// phase does not time cold connections, caches and set-up garbage.
+	warmup(r *repeat)
 	// phase runs the measured load.
 	phase(r *repeat)
 	// after runs the untimed checks that follow the phase.
@@ -67,10 +70,11 @@ type workload interface {
 	summarize(s *summary, untraced, traced []*repeat)
 }
 
-// repeats is the number of fresh daemons per run. ingest_wal takes more,
-// shorter phases: memory caps its document count per phase, and a single
-// phase's throughput moves with where the daemon's GC cycles fall.
-var repeats = map[string]int{"serve_read": 3, "ingest_wal": 5, "rapid_train": 3}
+// repeats is the number of fresh daemons per run. Each repeat's phase
+// samples the host's speed at a different moment, and the serving and
+// ingest figures take the best repeat (see best), so those workloads take
+// more, shorter phases; memory also caps ingest_wal's documents per phase.
+var repeats = map[string]int{"serve_read": 5, "ingest_wal": 5, "rapid_train": 3}
 
 func newWorkload(o *options) (workload, error) {
 	o.repeats = repeats[o.workload]
@@ -215,6 +219,17 @@ func runRepeat(w workload, o *options, idx int, traced bool) (*repeat, error) {
 		return nil, err
 	}
 	defer r.c.Close()
+	w.warmup(r)
+	// Only the phase is measured: warm-up operations count as attempted
+	// (and failed), and their answers are checked, but nothing else.
+	r.lat = newRecorder()
+	r.ops.Store(0)
+	r.embedRows.Store(0)
+	r.halves[0].Store(0)
+	r.halves[1].Store(0)
+	if r.book != nil {
+		r.book.reset()
+	}
 	if r.before, err = r.ctl.ServerStats(); err != nil {
 		return nil, err
 	}
@@ -408,15 +423,29 @@ func checkExact(s *summary, reps []*repeat) map[string]string {
 	return out
 }
 
-// rate returns the median over reps of headline operations per phase
-// second: one repeat hit by a burst of outside load moves it less than
-// a pooled total would.
-func rate(reps []*repeat) float64 {
+// rates returns each repeat's headline operations per phase second.
+func rates(reps []*repeat) []float64 {
 	var v []float64
 	for _, r := range reps {
 		v = append(v, ratio(float64(r.ops.Load()), r.phaseDur.Seconds()))
 	}
-	return median(v)
+	return v
+}
+
+// perRepeat returns f of each repeat's latencies of ops, and the number of
+// latencies behind all of them.
+func perRepeat(reps []*repeat, f func([]float64) float64, ops ...string) (v []float64, n int) {
+	for _, r := range reps {
+		lat := r.lat.get(ops...)
+		v = append(v, f(lat))
+		n += len(lat)
+	}
+	return v, n
+}
+
+// p returns the nearest-rank q-quantile of a latency sample.
+func p(q float64) func([]float64) float64 {
+	return func(v []float64) float64 { x, _ := percentile(v, q); return x }
 }
 
 // phaseSecs sums the measured phase time of reps.
@@ -502,7 +531,7 @@ func commonLayers(s *summary, untraced, traced []*repeat) {
 	add("runtime.gc_pause_ms", gcPause/nt, "ms")
 	add("runtime.heap_peak_mb", heapPeak, "MB")
 	add("server.cpu_ms_per_op", ratio(serverCPU, ops), "ms")
-	base, tr := rate(untraced), rate(traced)
+	base, tr := median(rates(untraced)), median(rates(traced))
 	add("tracing.overhead_pct", 100*ratio(base-tr, base), "%")
 
 	// Workload-specific per-layer values, averaged over traced repeats.

@@ -81,6 +81,15 @@ func newSpanBook() *spanBook {
 	return &spanBook{selfUS: make(map[string]int64), count: make(map[string]int64)}
 }
 
+// reset forgets everything recorded so far.
+func (b *spanBook) reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.dumps, b.waitUS, b.roundTrips = nil, 0, 0
+	clear(b.selfUS)
+	clear(b.count)
+}
+
 // addClient records the merged tree of one client request. op is the
 // client's "METHOD /path" label.
 func (b *spanBook) addClient(op string, d obs.TraceDump) {

@@ -36,6 +36,39 @@ func median(values []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// best returns the best of values: the smallest when lower is better,
+// else the largest. The host this benchmark runs on slows programs down
+// by tens of percent for stretches of tens of seconds, and only ever slows
+// them down, so the best of several repeats spread over a run tracks the
+// program's own speed more closely than their median does. An empty input
+// yields NaN.
+func best(values []float64, lowerIsBetter bool) float64 {
+	if len(values) == 0 {
+		return math.NaN()
+	}
+	b := values[0]
+	for _, v := range values[1:] {
+		if lowerIsBetter {
+			b = min(b, v)
+		} else {
+			b = max(b, v)
+		}
+	}
+	return b
+}
+
+// mean returns the arithmetic mean of values; an empty input yields NaN.
+func mean(values []float64) float64 {
+	if len(values) == 0 {
+		return math.NaN()
+	}
+	var sum float64
+	for _, v := range values {
+		sum += v
+	}
+	return sum / float64(len(values))
+}
+
 // ratio returns num/den, or 0 when den is 0, for counters that may stay
 // idle on a workload.
 func ratio(num, den float64) float64 {

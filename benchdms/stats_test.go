@@ -58,3 +58,40 @@ func TestRatioOfIdleCounter(t *testing.T) {
 		t.Errorf("ratio: got %v and %v", ratio(3, 0), ratio(3, 4))
 	}
 }
+
+func TestBestAndMean(t *testing.T) {
+	vals := []float64{3, 1, 4, 1.5}
+	if got := best(vals, true); got != 1 {
+		t.Errorf("best lower = %v, want 1", got)
+	}
+	if got := best(vals, false); got != 4 {
+		t.Errorf("best higher = %v, want 4", got)
+	}
+	if got := mean(vals); got != 2.375 {
+		t.Errorf("mean = %v, want 2.375", got)
+	}
+	if !math.IsNaN(best(nil, true)) || !math.IsNaN(mean(nil)) {
+		t.Error("best or mean of nothing is not NaN")
+	}
+}
+
+func TestBestRoundsTakesEachRoundsFastestRepeat(t *testing.T) {
+	var reps []*repeat
+	for _, lat := range [][]float64{{10, 50, 30}, {12, 40, 35}, {9, 45, 33}} {
+		r := &repeat{lat: newRecorder()}
+		for _, ms := range lat {
+			r.lat.add("warm", ms)
+		}
+		reps = append(reps, r)
+	}
+	got := bestRounds(reps, "warm")
+	want := []float64{9, 40, 30}
+	if len(got) != len(want) {
+		t.Fatalf("bestRounds = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("bestRounds = %v, want %v", got, want)
+		}
+	}
+}
