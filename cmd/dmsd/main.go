@@ -37,8 +37,11 @@
 //	     [-seed 1] [-max-inflight 64] [-cache 128] [-max-batch 8192]
 //	     [-vecindex flat|ivf|off] [-nprobe 4]
 //	     [-train-workers 2] [-train-queue 8]
-//	     [-slow-threshold 250ms] [-slow-log 64] [-pprof] [-v]
+//	     [-slow-threshold 250ms] [-slow-log 64] [-pprof]
 //	     [-log-level info]
+//
+// -log-level debug additionally logs every failed request (server faults
+// log at warn regardless) and the trainer's job lifecycle.
 package main
 
 import (
@@ -146,7 +149,6 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	indexKind := flag.String("vecindex", "flat", "nearest-label vector index: flat (exact), ivf (approximate, sublinear), off (store scans)")
 	nprobe := flag.Int("nprobe", 4, "IVF sublists probed per query (higher = more accurate, slower)")
-	verbose := flag.Bool("v", false, "log request failures")
 	logLevel := flag.String("log-level", "info", "minimum log level for daemon events: debug, info, warn, error")
 	flag.Parse()
 
@@ -247,10 +249,6 @@ func main() {
 		}
 	}
 
-	var reqLogger *log.Logger
-	if *verbose {
-		reqLogger = log.Default()
-	}
 	cfg := dmsapi.ServerConfig{
 		DS: ds, Zoo: zoo,
 		MaxInFlight:   *maxInflight,
@@ -262,7 +260,7 @@ func main() {
 		SlowThreshold: *slowThreshold,
 		SlowLogSize:   *slowLog,
 		EnablePprof:   *enablePprof,
-		Logger:        reqLogger,
+		Logger:        logger,
 	}
 	if durable != nil {
 		cfg.WalStats = func() dmsapi.WalStats { return walStatsWire(durable.WalStats()) }

@@ -1,8 +1,9 @@
 // Command dmsrouter is the scale-out routing tier for a dmsd cluster: a
 // stateless HTTP front end that serves the same /v1 surface as a single
-// dmsd while consistent-hashing documents across N shards, scattering
-// queries to every shard with exact merges, and replicating model
-// registrations cluster-wide (internal/dmscluster).
+// dmsd — through the same dmsapi.Server, with the daemon's admission,
+// body and batch limits — while consistent-hashing documents across N
+// shards, scattering queries to every shard with exact merges, and
+// replicating model registrations cluster-wide (internal/dmscluster).
 //
 // Shards must run with the same -seed (replicated embedder and
 // clustering models agree bit-for-bit, so scatter reductions are exact)
@@ -17,8 +18,9 @@
 // per-node health and the membership epoch; /metricsz serves the
 // federated fleet exposition (every healthy shard's families relabeled
 // with node=<addr> plus dms_fleet_* aggregates); /debug/tracez serves
-// tail-retained span trees for slow, errored, and degraded requests; and
-// -slo objectives surface as dms_slo_* burn-rate families.
+// tail-retained span trees for slow, errored, and degraded requests
+// (/debug/slowz the slow ones alone); and -slo objectives surface as
+// dms_slo_* burn-rate families.
 //
 // Usage:
 //
@@ -41,6 +43,7 @@ import (
 	"syscall"
 	"time"
 
+	"fairdms/internal/dmsapi"
 	"fairdms/internal/dmscluster"
 	"fairdms/internal/obs"
 )
@@ -58,7 +61,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	sloSpec := flag.String("slo", "", "per-endpoint objectives, e.g. 'nearest:p99<5ms,err<0.1%;recommend:p95<20ms' (empty disables the SLO layer)")
 	traceRing := flag.Int("trace-ring", 256, "tail-based trace retention ring size (0 disables /debug/tracez)")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "retain any request slower than this, even when it succeeded (0 = only errored/degraded)")
+	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "retain any request slower than this, even when it succeeded, in /debug/tracez and /debug/slowz (0 = tracez keeps only errored/degraded; slowz off)")
 	scrapeTimeout := flag.Duration("scrape-timeout", 2*time.Second, "per-request fleet metrics scrape budget for the federated /metricsz")
 	flag.Parse()
 
@@ -92,6 +95,7 @@ func main() {
 		FailAfter:     *failAfter,
 		Retries:       *retries,
 		Timeout:       *timeout,
+		ScrapeTimeout: *scrapeTimeout,
 		Logger:        logger,
 	})
 	if err != nil {
@@ -100,14 +104,17 @@ func main() {
 	cluster.Start()
 	defer cluster.Close()
 
-	router := dmscluster.NewRouter(cluster, dmscluster.RouterConfig{
-		Logger:        logger,
+	srv, err := dmsapi.NewServer(dmsapi.ServerConfig{
+		Backend:       cluster,
 		SLOs:          slos,
 		TraceRing:     *traceRing,
-		TraceSlow:     *traceSlow,
-		ScrapeTimeout: *scrapeTimeout,
+		SlowThreshold: *traceSlow,
+		Logger:        logger,
 	})
-	bound, err := router.Listen(*addr)
+	if err != nil {
+		log.Fatalf("dmsrouter: %v", err)
+	}
+	bound, err := srv.Listen(*addr)
 	if err != nil {
 		log.Fatalf("dmsrouter: listen: %v", err)
 	}
@@ -122,7 +129,7 @@ func main() {
 		"degraded_responses", st.DegradedResponses, "reroutes", st.Reroutes)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := router.Shutdown(ctx); err != nil {
+	if err := srv.Shutdown(ctx); err != nil {
 		logger.Error("shutdown failed", "err", err)
 	}
 }

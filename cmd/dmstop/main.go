@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"fairdms/internal/dmsapi"
-	"fairdms/internal/dmscluster"
 )
 
 // poller fetches and joins the fleet state, remembering the previous
@@ -94,31 +93,16 @@ func fmtMS(v float64) string { return fmt.Sprintf("%.2f", v) }
 // render draws one frame into a builder; the caller decides whether to
 // clear the screen first.
 func render(b *strings.Builder, p *poller, now time.Time) error {
-	// The router's RouterStats and a bare dmsd's Stats share field names
-	// but differ in shape; probe for the cluster block to tell them apart.
-	var probe struct {
-		Cluster *dmscluster.ClusterStats `json:"cluster"`
-	}
-	raw := json.RawMessage{}
-	if err := p.getJSON(p.addr, dmsapi.PathStats, &raw); err != nil {
+	// Both tiers serve the same Stats; a router's carries the cluster block.
+	var st dmsapi.Stats
+	if err := p.getJSON(p.addr, dmsapi.PathStats, &st); err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return err
-	}
-	if probe.Cluster == nil || probe.Cluster.Shards == 0 {
-		var st dmsapi.Stats
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return err
-		}
+	if st.Cluster == nil || st.Cluster.Shards == 0 {
 		renderSingle(b, p, st, now)
-		return nil
+	} else {
+		renderCluster(b, p, st, now)
 	}
-	var st dmscluster.RouterStats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return err
-	}
-	renderCluster(b, p, st, now)
 	return nil
 }
 
@@ -131,7 +115,7 @@ func header(b *strings.Builder, kind, addr string, uptime float64, version, revi
 		kind, addr, (time.Duration(uptime) * time.Second).String(), version, rev)
 }
 
-func renderCluster(b *strings.Builder, p *poller, st dmscluster.RouterStats, now time.Time) {
+func renderCluster(b *strings.Builder, p *poller, st dmsapi.Stats, now time.Time) {
 	header(b, "router", p.addr, st.UptimeSeconds, st.Version, st.Revision)
 	fmt.Fprintf(b, "cluster: epoch %d · %d/%d shards healthy · %d degraded responses · %d reroutes · router %.1f rps\n\n",
 		st.Cluster.Epoch, st.Cluster.HealthyShards, st.Cluster.Shards,
@@ -174,7 +158,7 @@ func renderCluster(b *strings.Builder, p *poller, st dmscluster.RouterStats, now
 			ns.Addr, health, ns.ConsecutiveFails, rps, p50, p99, p999, lag, ns.Ejections)
 	}
 
-	// Router endpoint table (top by request count).
+	// The router's own endpoint table (top by request count).
 	b.WriteString("\n")
 	fmt.Fprintf(b, "%-22s %10s %8s %9s %9s %9s\n", "ENDPOINT", "COUNT", "ERRORS", "P50 MS", "P99 MS", "MAX MS")
 	names := make([]string, 0, len(st.Endpoints))

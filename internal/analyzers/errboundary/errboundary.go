@@ -5,13 +5,18 @@
 //
 //	func (…) handleX(w http.ResponseWriter, r *http.Request) error
 //
-// and a package containing at least one handler is held to three rules:
+// and a backend method is any method, returning an error last, of a type
+// that implements the package's own Backend interface — the service calls
+// a handler delegates to (dmsapi's in-process backend), whose errors reach
+// the client through the handler unchanged. A package containing at least
+// one of either is held to four rules:
 //
-//  1. No raw internal returns: a handler must not `return err` bare when
-//     err's nearest preceding assignment came from another package of this
-//     module (a service call). Such errors must pass through a mapping
-//     (errf, serviceError, an errors.Is switch) that picks the status and
-//     the client-safe message.
+//  1. No raw internal returns: a handler or backend method must not
+//     return err bare (as its error result) when err's nearest preceding
+//     assignment came from another package of this module (a service
+//     call). Such errors must pass through a mapping (errf,
+//     serviceError, an errors.Is switch) that picks the status and the
+//     client-safe message.
 //  2. No http.Error: plain-text error bodies bypass the package's JSON
 //     error writer; every failure must go through the boundary's encoder.
 //  3. Sentinel coverage: for each known sentinel (fairds.ErrNotFitted,
@@ -76,15 +81,19 @@ func NewAnalyzer(cfg Config) *anzkit.Analyzer {
 
 func run(pass *anzkit.Pass, cfg Config) error {
 	handlers := collectHandlers(pass)
-	if len(handlers) == 0 {
+	backend := collectBackendMethods(pass)
+	if len(handlers) == 0 && len(backend) == 0 {
 		return nil
 	}
 	for _, fd := range handlers {
-		checkRawReturns(pass, fd)
+		checkRawReturns(pass, fd, "handler")
+	}
+	for _, fd := range backend {
+		checkRawReturns(pass, fd, "backend method")
 	}
 	checkHTTPError(pass)
 	checkAdHocStatus(pass)
-	checkSentinels(pass, cfg, handlers[0])
+	checkSentinels(pass, cfg, append(handlers, backend...)[0])
 	return nil
 }
 
@@ -119,6 +128,47 @@ func collectHandlers(pass *anzkit.Pass) []*ast.FuncDecl {
 	return out
 }
 
+// collectBackendMethods finds the methods, with an error last result, of
+// the types implementing an interface named Backend declared in the
+// package under analysis.
+func collectBackendMethods(pass *anzkit.Pass) []*ast.FuncDecl {
+	tn, ok := pass.Pkg.Scope().Lookup("Backend").(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	iface, ok := tn.Type().Underlying().(*types.Interface)
+	if !ok {
+		return nil
+	}
+	errType := types.Universe.Lookup("error").Type()
+	var out []*ast.FuncDecl
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Recv == nil {
+				continue
+			}
+			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
+			if fn == nil {
+				continue
+			}
+			sig := fn.Type().(*types.Signature)
+			res := sig.Results()
+			if res.Len() == 0 || !types.Identical(res.At(res.Len()-1).Type(), errType) {
+				continue
+			}
+			recv := sig.Recv().Type()
+			if _, isPtr := recv.(*types.Pointer); !isPtr {
+				recv = types.NewPointer(recv) // the pointer's method set covers both
+			}
+			if types.Implements(recv, iface) {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
+}
+
 func isNetHTTP(t types.Type, name string, ptr bool) bool {
 	if ptr {
 		p, ok := t.(*types.Pointer)
@@ -140,9 +190,10 @@ func moduleOf(path string) string {
 	return seg
 }
 
-// checkRawReturns flags `return err` where err's nearest preceding
-// assignment in the handler is a call into another package of this module.
-func checkRawReturns(pass *anzkit.Pass, fd *ast.FuncDecl) {
+// checkRawReturns flags a return whose error result is a bare err whose
+// nearest preceding assignment in fd is a call into another package of
+// this module. kind names fd's role in the report.
+func checkRawReturns(pass *anzkit.Pass, fd *ast.FuncDecl, kind string) {
 	module := moduleOf(pass.Pkg.Path())
 
 	// taints: positions of assignments whose RHS is an internal
@@ -180,10 +231,10 @@ func checkRawReturns(pass *anzkit.Pass, fd *ast.FuncDecl) {
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
+		if !ok || len(ret.Results) == 0 {
 			return true
 		}
-		id, ok := ret.Results[0].(*ast.Ident)
+		id, ok := ret.Results[len(ret.Results)-1].(*ast.Ident)
 		if !ok {
 			return true
 		}
@@ -200,7 +251,7 @@ func checkRawReturns(pass *anzkit.Pass, fd *ast.FuncDecl) {
 			}
 		}
 		if last != nil && last.internal {
-			pass.Reportf(ret.Pos(), "handler %s returns the raw error from %s to the client; map it to an HTTP status (errf/serviceError) at the boundary", fd.Name.Name, last.callee)
+			pass.Reportf(ret.Pos(), "%s %s returns the raw error from %s to the client; map it to an HTTP status (errf/serviceError) at the boundary", kind, fd.Name.Name, last.callee)
 		}
 		return true
 	})

@@ -24,3 +24,16 @@ func TestClean(t *testing.T) {
 		t.Fatalf("clean fixture produced diagnostics: %v", diags)
 	}
 }
+
+// TestBackendMethods checks rule 1 reaches the methods of a Backend
+// implementation, where service calls live once handlers only decode and
+// delegate.
+func TestBackendMethods(t *testing.T) {
+	analysistest.Run(t, "testdata", fixtureAnalyzer, "fairmod/backend")
+}
+
+func TestBackendClean(t *testing.T) {
+	if diags := analysistest.Run(t, "testdata", fixtureAnalyzer, "fairmod/backendok"); len(diags) != 0 {
+		t.Fatalf("clean backend fixture produced diagnostics: %v", diags)
+	}
+}

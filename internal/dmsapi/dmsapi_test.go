@@ -98,7 +98,7 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, *Client) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	client, err := Dial(addr)
+	client, err := NewClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestClientRetriesConnectionError(t *testing.T) {
 		}
 	}()
 
-	client, err := Dial(proxy.Addr().String())
+	client, err := NewClient(proxy.Addr().String())
 	if err != nil {
 		t.Fatalf("dial through flaky proxy should retry and succeed: %v", err)
 	}

@@ -44,8 +44,8 @@ type ErrorResponse struct {
 }
 
 // Typed sentinels for errors.Is against client-side errors. A
-// *StatusError matches the sentinel its envelope code (or, for legacy
-// plain responses, its HTTP status) implies.
+// *StatusError matches the sentinel its envelope code (or, for bodies
+// without an envelope, its HTTP status) implies.
 var (
 	// ErrNotFound: the named model, job, or route does not exist.
 	ErrNotFound = errors.New("dmsapi: not found")
@@ -60,11 +60,13 @@ var (
 	ErrUnavailable = errors.New("dmsapi: service unavailable")
 )
 
-// StatusError is the typed form of a non-2xx server response. Code is the
-// HTTP status; ErrCode and Retryable are decoded from the error envelope
-// (derived from the status for legacy plain-text/flat-JSON bodies). It
-// matches the package sentinels under errors.Is, so callers branch on
-// error classes without status-code arithmetic.
+// StatusError is the one error type of the /v1 surface. Server-side, a
+// handler or Backend method returns it to pick the response's status and
+// envelope; client-side, every non-2xx response decodes into it. Code is
+// the HTTP status; ErrCode and Retryable travel in the error envelope
+// (derived from the status for bodies without one). It matches the
+// package sentinels under errors.Is, so callers branch on error classes
+// without status-code arithmetic.
 type StatusError struct {
 	Code      int
 	ErrCode   ErrorCode
@@ -132,8 +134,7 @@ func retryableStatus(status int) bool {
 
 // WriteError writes the unified error envelope. An empty body.Code is
 // filled from the status. This is the one place a non-2xx status is
-// written (the errboundary analyzer enforces that); the router calls it
-// with a shard's decoded envelope so 409/429/503 round-trip losslessly.
+// written (the errboundary analyzer enforces that).
 func WriteError(w http.ResponseWriter, status int, body ErrorBody) {
 	if body.Code == "" {
 		body.Code = codeForStatus(status)
@@ -144,8 +145,9 @@ func WriteError(w http.ResponseWriter, status int, body ErrorBody) {
 }
 
 // WriteStatusError writes err as an envelope response. A *StatusError —
-// typically a shard response a router is forwarding — keeps its status,
-// code, and retryability verbatim; anything else becomes a 500/internal.
+// a handler's own, or a shard response a router is forwarding — keeps its
+// status, code, and retryability verbatim, so 409/429/503 round-trip
+// losslessly across hops; anything else becomes a 500/internal.
 func WriteStatusError(w http.ResponseWriter, err error) {
 	var se *StatusError
 	if errors.As(err, &se) {
@@ -155,10 +157,10 @@ func WriteStatusError(w http.ResponseWriter, err error) {
 	WriteError(w, http.StatusInternalServerError, ErrorBody{Code: CodeInternal, Message: err.Error()})
 }
 
-// statusError decodes a non-2xx response body into a *StatusError:
-// envelope first, then the pre-envelope flat {"error": "..."} shape, then
-// the raw body — so the client degrades cleanly against older servers and
-// non-dmsapi intermediaries.
+// statusError decodes a non-2xx response body into a *StatusError: the
+// envelope when the body carries one, else the raw body with code and
+// retryability derived from the status — so the client degrades cleanly
+// against non-dmsapi intermediaries (a proxy's plain-text 502).
 func statusError(status int, body []byte) error {
 	var er ErrorResponse
 	if err := json.Unmarshal(body, &er); err == nil && er.Error.Message != "" {
@@ -169,20 +171,27 @@ func statusError(status int, body []byte) error {
 			Retryable: er.Error.Retryable,
 		}
 	}
-	msg := ""
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &legacy); err == nil {
-		msg = legacy.Error
-	}
-	if msg == "" {
-		msg = strings.TrimSpace(string(body))
-	}
 	return &StatusError{
 		Code:      status,
 		ErrCode:   codeForStatus(status),
-		Message:   msg,
+		Message:   strings.TrimSpace(string(body)),
+		Retryable: retryableStatus(status),
+	}
+}
+
+// errf builds the error a handler or backend method returns for a failed
+// request: the envelope code and retryability are derived from the HTTP
+// status. errc is the variant for statuses with more than one meaning
+// (409 is conflict or not_fitted).
+func errf(status int, format string, args ...any) error {
+	return errc(status, codeForStatus(status), format, args...)
+}
+
+func errc(status int, code ErrorCode, format string, args ...any) error {
+	return &StatusError{
+		Code:      status,
+		ErrCode:   code,
+		Message:   fmt.Sprintf(format, args...),
 		Retryable: retryableStatus(status),
 	}
 }

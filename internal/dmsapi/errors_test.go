@@ -87,16 +87,16 @@ func TestWriteStatusErrorForwarding(t *testing.T) {
 }
 
 // TestStatusErrorLegacyDecode checks the client degrades cleanly against
-// pre-envelope servers and non-dmsapi intermediaries: the flat
-// {"error": "..."} shape and raw text bodies still decode, with code and
-// retryability derived from the HTTP status.
+// bodies without an envelope (non-dmsapi intermediaries): the body is kept
+// verbatim as the message — a flat {"error": "..."} JSON body included —
+// with code and retryability derived from the HTTP status.
 func TestStatusErrorLegacyDecode(t *testing.T) {
 	err := statusError(http.StatusConflict, []byte(`{"error":"model exists"}`))
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("legacy decode produced %T", err)
 	}
-	if se.ErrCode != CodeConflict || se.Message != "model exists" || se.Retryable {
+	if se.ErrCode != CodeConflict || se.Message != `{"error":"model exists"}` || se.Retryable {
 		t.Fatalf("legacy flat decode: %+v", se)
 	}
 
@@ -137,8 +137,7 @@ func TestStatusErrorSentinels(t *testing.T) {
 }
 
 // TestNewClientOptions covers the functional-option constructor: options
-// compose over defaults, and the deprecated ClientConfig path still
-// builds a working client.
+// compose over defaults into a working client.
 func TestNewClientOptions(t *testing.T) {
 	srv, _ := startServer(t, ServerConfig{})
 	addr := srv.Addr()
@@ -153,16 +152,6 @@ func TestNewClientOptions(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The deprecated struct path is still wired through.
-	legacy, err := DialConfig(addr, ClientConfig{Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(legacy.Close)
-	if err := legacy.Ping(); err != nil {
 		t.Fatal(err)
 	}
 }

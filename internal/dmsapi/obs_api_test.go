@@ -86,7 +86,7 @@ func TestTraceSpansThreeTiers(t *testing.T) {
 
 	srv, _ := startServer(t, ServerConfig{DS: svc})
 	sink := &traceSink{}
-	client, err := DialConfig(srv.Addr(), ClientConfig{TraceSample: 1, OnTrace: sink.add})
+	client, err := NewClient(srv.Addr(), WithTraceSample(1, sink.add))
 	if err != nil {
 		t.Fatal(err)
 	}

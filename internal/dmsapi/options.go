@@ -6,10 +6,10 @@ import (
 	"fairdms/internal/obs"
 )
 
-// Option tunes a Client built by NewClient. Options replace the older
-// ClientConfig struct: they compose, keep zero-value defaults in one
-// place, and extend without breaking call sites (WithSeeds arrived for
-// the cluster tier without touching any existing constructor call).
+// Option tunes a Client built by NewClient. Options compose, keep
+// zero-value defaults in one place, and extend without breaking call
+// sites (WithSeeds arrived for the cluster tier without touching any
+// existing constructor call).
 type Option func(*clientOptions)
 
 // clientOptions is the resolved option set; NewClient applies defaults
@@ -67,9 +67,14 @@ func WithPool(n int) Option {
 	}
 }
 
-// WithTraceSample traces every nth request end to end and hands the
-// merged client+server span tree to onTrace (see ClientConfig.TraceSample
-// for the wire mechanics). n <= 0 or a nil onTrace disables sampling.
+// WithTraceSample traces every nth request end to end: the client builds
+// a span tree around the exchange, asks the server for its span tree back
+// (X-Dms-Trace request header, span trailer on the response), and grafts
+// the server's tree under the round-trip span — one contiguous view from
+// client_request down to the fairds stages. onTrace receives each merged
+// tree with op "METHOD /path", synchronously on the requesting goroutine
+// after the response is consumed, so keep it cheap. n <= 0 or a nil
+// onTrace disables sampling.
 func WithTraceSample(n int, onTrace func(op string, dump obs.TraceDump)) Option {
 	return func(o *clientOptions) {
 		o.traceSample = n
@@ -96,7 +101,7 @@ func WithoutPing() Option {
 // NewClient builds a client for the server at addr ("host:port"),
 // applying opts over the defaults (2 retries, 50ms backoff, 30s timeout,
 // 32-connection pool), and probes /healthz so misconfiguration fails
-// fast (disable with WithoutPing). It supersedes Dial/DialConfig.
+// fast (disable with WithoutPing).
 func NewClient(addr string, opts ...Option) (*Client, error) {
 	o := defaultOptions()
 	for _, opt := range opts {

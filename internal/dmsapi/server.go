@@ -2,31 +2,23 @@ package dmsapi
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"fairdms/internal/codec"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
 	"fairdms/internal/hdrhist"
-	"fairdms/internal/nn"
 	"fairdms/internal/obs"
-	"fairdms/internal/trainer"
 )
 
 // Defaults for ServerConfig zero values.
@@ -38,82 +30,99 @@ const (
 	defaultSlowLogSize  = 64        // slow-request ring entries
 )
 
-// ServerConfig wires a Server to its two services and tunes its behavior.
+// ServerConfig wires a Server to its backend and tunes its behavior.
+// Fields marked "in-process only" apply when Backend is nil.
 type ServerConfig struct {
-	// DS is the FAIR Data Service instance to serve. Required.
+	// Backend serves the /v1 surface from outside this process — the
+	// cluster router passes its dmscluster.Cluster. Nil serves DS and Zoo
+	// in-process (dmsd).
+	Backend Backend
+	// DS is the FAIR Data Service instance to serve (in-process only;
+	// required there).
 	DS *fairds.Service
-	// Zoo is the FAIR Model Service model zoo to serve. Required.
+	// Zoo is the FAIR Model Service model zoo to serve (in-process only;
+	// required there).
 	Zoo *fairms.Zoo
 	// MaxInFlight bounds concurrently handled requests; excess load is shed
 	// with 429 so a burst degrades into fast rejections instead of a pileup
-	// (health and stats endpoints are exempt). Zero means
+	// (health, stats and debug endpoints are exempt). Zero means
 	// defaultMaxInFlight; negative means unlimited.
 	MaxInFlight int
-	// CacheSize bounds the LRU of completed recommend/PDF results. Zero
-	// means defaultCacheSize; negative disables memoization (in-flight
-	// coalescing stays on).
-	CacheSize int
-	// BootstrapK, when positive, lets a daemon start with an unfitted data
-	// service: the first ingest fits the clustering module with K =
-	// BootstrapK on that batch before storing it. Zero requires the caller
-	// to have fitted clusters already.
-	BootstrapK int
-	// MaxBodyBytes caps request-body size; oversized bodies fail instead of
-	// occupying memory and an admission slot indefinitely. Zero means
-	// defaultMaxBodyBytes; negative means unlimited.
+	// MaxBodyBytes caps request-body size; oversized bodies fail with 413
+	// instead of occupying memory and an admission slot indefinitely. Zero
+	// means defaultMaxBodyBytes; negative means unlimited.
 	MaxBodyBytes int64
 	// MaxBatchDocs caps documents per ingest:batch request (413 beyond it),
 	// bounding the work one request can pin. Zero means
 	// defaultMaxBatchDocs; negative means unlimited.
 	MaxBatchDocs int
+	// CacheSize bounds the LRU of completed recommend/PDF results
+	// (in-process only). Zero means defaultCacheSize; negative disables
+	// memoization (in-flight coalescing stays on).
+	CacheSize int
+	// BootstrapK, when positive, lets a daemon start with an unfitted data
+	// service: the first ingest fits the clustering module with K =
+	// BootstrapK on that batch before storing it (in-process only). Zero
+	// requires the caller to have fitted clusters already.
+	BootstrapK int
 	// TrainWorkers enables the embedded training subsystem (/v1/train):
-	// the number of jobs trained in parallel. Zero disables training (the
-	// /v1/train routes 404).
+	// the number of jobs trained in parallel (in-process only). Zero
+	// disables training (the /v1/train routes answer 404).
 	TrainWorkers int
 	// TrainQueue bounds jobs waiting for a training worker; submissions
 	// past it are shed with 429. Zero means trainer.DefaultQueue.
 	TrainQueue int
-	// SlowThreshold enables the always-on slow-request log: requests
-	// slower than this retain their full span tree in a ring served at
-	// GET /debug/slowz. Zero or negative disables the log (the route
-	// answers 404) and with it the per-request tracing overhead for
-	// unsampled requests.
+	// WalStats, when non-nil, surfaces the durability counters of a
+	// WAL-backed document store on /statsz (the "wal" key) and /metricsz
+	// (the dms_wal_* families). In-process only; nil omits the surface.
+	WalStats func() WalStats
+	// SlowThreshold is the latency above which a request counts as slow:
+	// its span tree is kept in the slow-request ring served at GET
+	// /debug/slowz, and — when TraceRing is on — in the tail ring too.
+	// Zero or negative disables the slow ring (the route answers 404) and
+	// with it the per-request tracing overhead for unsampled requests.
 	SlowThreshold time.Duration
 	// SlowLogSize bounds the slow-request ring (default 64 entries).
 	SlowLogSize int
+	// TraceRing sizes the tail-based trace retention ring behind GET
+	// /debug/tracez: every data request is traced, and its span tree kept
+	// if it errored, was answered degraded, or was slow. Zero or negative
+	// disables retention (the route answers 404).
+	TraceRing int
+	// SLOs are the per-endpoint objectives evaluated over rolling windows
+	// (parse with obs.ParseSLOs), surfaced as the /statsz slo block and
+	// the dms_slo_* families. Empty disables the SLO layer.
+	SLOs []obs.SLO
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (opt-in: the
 	// profiling surface should not be reachable on every deployment).
 	EnablePprof bool
-	// WalStats, when non-nil, surfaces the durability counters of a
-	// WAL-backed document store on /statsz (the "wal" key) and /metricsz
-	// (the dms_wal_* families). The daemon installs it when it runs the
-	// store in WAL-durable mode; nil omits the surface entirely.
-	WalStats func() WalStats
-	// Logger receives request-failure logs; nil silences them.
-	Logger *log.Logger
+	// Logger receives failed requests (5xx at warn, the rest at debug)
+	// and backend lifecycle events; nil silences them.
+	Logger *obs.Logger
 }
 
-// Server exposes a fairds.Service and fairms.Zoo over HTTP/JSON. It is
-// production-shaped: bounded in-flight concurrency with 429 shedding, a
-// coalescing LRU cache on the hot read paths (recommend, PDF), per-endpoint
-// request/error/latency counters surfaced at /statsz, and graceful
-// shutdown. Safe for concurrent use.
+// Server is the HTTP front end of both tiers: it serves a Backend's /v1
+// surface behind one middleware stack — body cap, bounded in-flight
+// admission with 429 shedding, trace build and propagation, per-endpoint
+// metrics, SLO scoring, slow and tail trace retention, the error
+// envelope, and failure logging — plus /statsz, /metricsz, the debug
+// rings and graceful shutdown. Safe for concurrent use.
 type Server struct {
-	cfg   ServerConfig
+	cfg ServerConfig
+	b   Backend
+	// local is the in-process backend (nil behind a router); it adds the
+	// shard-internal routes and the cache/index/train/wal surfaces.
+	local *local
+	// fleet is the Backend's fleet side (nil on dmsd).
+	fleet Fleet
+	// rootSpan names each request's root span: "request" on dmsd, "route"
+	// on the router, so a client's joined trace tells the tiers apart.
+	rootSpan string
+
 	mux   *http.ServeMux
 	http  *http.Server
 	lis   net.Listener
 	start time.Time
-
-	// dsMu guards the fairds.Service: the bootstrap fit mutates its
-	// clustering model, everything else only reads it. fairms.Zoo locks
-	// internally and needs no guarding here.
-	dsMu sync.RWMutex
-	// clusterK mirrors DS.K() so /healthz never waits on dsMu — the
-	// bootstrap fit holds it exclusively for a full k-means run, and a
-	// liveness probe stalling exactly then would get the daemon killed
-	// mid-bootstrap.
-	clusterK atomic.Int64
 
 	// sem is the in-flight admission semaphore (nil = unlimited).
 	sem      chan struct{}
@@ -121,30 +130,20 @@ type Server struct {
 	shed     atomic.Int64
 	requests atomic.Int64
 
-	cache *cache
-	// zooGen/clusterGen version the cache keyspace: adding a model
-	// invalidates recommend results, refitting clusters invalidates PDF
-	// results. Bumping the generation orphans stale entries, which age out
-	// of the LRU.
-	zooGen     atomic.Uint64
-	clusterGen atomic.Uint64
-
 	metrics map[string]*endpointMetrics
 
 	// reg is the central metrics registry behind GET /metricsz; every
 	// /statsz counter is mirrored into it as a func-backed metric reading
-	// the same atomics, so the two surfaces cannot drift. slow is the
-	// always-on slow-request ring behind GET /debug/slowz.
-	reg  *obs.Registry
-	slow *obs.SlowLog
+	// the same atomics, so the two surfaces cannot drift.
+	reg *obs.Registry
+	// slow is the slow-request ring behind /debug/slowz, traces the
+	// tail-retention ring behind /debug/tracez, slo the objectives.
+	slow   *obs.SlowLog
+	traces *obs.TraceLog
+	slo    *obs.SLOEvaluator
 
 	epErrors  *obs.CounterVec
 	epLatency *obs.HistogramVec
-
-	// trainer is the embedded training-job subsystem (nil when
-	// TrainWorkers == 0). Its jobs read the data service under dsMu's
-	// read side and bump zooGen when a checkpoint lands in the zoo.
-	trainer *trainer.Manager
 }
 
 // endpointMetrics accumulates per-endpoint counters. Both live in the
@@ -157,38 +156,30 @@ type endpointMetrics struct {
 	hist   *hdrhist.Histogram
 }
 
-func (m *endpointMetrics) observe(d time.Duration, failed bool) {
-	if failed {
-		m.errors.Inc()
-	}
-	m.hist.Record(d)
-}
+// routeKind sets which cross-cutting rules a route is under.
+type routeKind int
 
-// httpError carries a status and envelope code through handler returns.
-type httpError struct {
-	code    int
-	errCode ErrorCode
-	msg     string
-}
+const (
+	// admitted routes are shed with 429 when the server is saturated.
+	admitted routeKind = iota
+	// exempt routes are never shed (see the train routes in NewServer).
+	exempt
+	// meta routes are the server's own observability surfaces: never
+	// shed, and neither SLO-scored nor tail-retained, so a dashboard
+	// polling /statsz cannot burn an error budget or wash real traces out
+	// of the ring.
+	meta
+)
 
-func (e *httpError) Error() string { return e.msg }
-
-// errf builds a handler error whose envelope code is derived from the
-// HTTP status; errc is the variant for statuses with more than one
-// meaning (409 is conflict or not_fitted).
-func errf(code int, format string, args ...any) error {
-	return &httpError{code: code, errCode: codeForStatus(code), msg: fmt.Sprintf(format, args...)}
-}
-
-func errc(code int, errCode ErrorCode, format string, args ...any) error {
-	return &httpError{code: code, errCode: errCode, msg: fmt.Sprintf(format, args...)}
-}
+// handler is the shape every route serves: write the success body, or
+// return the error the middleware turns into the envelope.
+type handler func(w http.ResponseWriter, r *http.Request) error
 
 // NewServer validates the config and builds the routing table; call Listen
 // to start serving.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.DS == nil || cfg.Zoo == nil {
-		return nil, errors.New("dmsapi: server needs both a data service and a model zoo")
+	if cfg.Backend != nil && (cfg.DS != nil || cfg.Zoo != nil) {
+		return nil, errors.New("dmsapi: a server serves either a Backend or an in-process DS and Zoo, not both")
 	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = defaultMaxInFlight
@@ -207,39 +198,77 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
+		b:       cfg.Backend,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
-		cache:   newCache(max(cfg.CacheSize, 0)),
 		metrics: make(map[string]*endpointMetrics),
 		reg:     obs.NewRegistry(),
 		slow:    obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowThreshold),
+		traces:  obs.NewTraceLog(cfg.TraceRing),
+		slo:     obs.NewSLOEvaluator(cfg.SLOs),
 	}
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
-	s.clusterK.Store(int64(cfg.DS.K()))
-	s.registerMetrics()
+	// Family prefix: dms_* on a shard, dms_router_* on the router, so a
+	// federated exposition keeps the two tiers' series apart.
+	prefix := "dms_"
+	s.rootSpan = "request"
+	if s.b == nil {
+		l, err := newLocal(cfg, s.reg, s.slow)
+		if err != nil {
+			return nil, err
+		}
+		s.local, s.b = l, l
+	} else {
+		prefix, s.rootSpan = "dms_router_", "route"
+		if f, ok := s.b.(Fleet); ok {
+			s.fleet = f
+			f.RegisterMetrics(s.reg)
+		}
+	}
+	s.registerMetrics(prefix)
 
-	s.route("POST "+PathIngest, "data.ingest", true, s.handleIngest)
-	s.route("POST "+PathIngestBatch, "data.ingest_batch", true, s.handleIngestBatch)
-	s.route("POST "+PathCertainty, "data.certainty", true, s.handleCertainty)
-	s.route("POST "+PathLookup, "data.lookup", true, s.handleLookup)
-	s.route("POST "+PathNearest, "data.nearest", true, s.handleNearest)
-	s.route("POST "+PathPDF, "data.pdf", true, s.handlePDF)
-	s.route("POST "+PathFit, "data.fit", true, s.handleFit)
-	s.route("POST "+PathSamples, "data.samples", true, s.handleSamples)
-	s.route("POST "+PathClusterIDs, "data.ids", true, s.handleClusterIDs)
-	s.route("POST "+PathModels, "models.add", true, s.handleAddModel)
-	s.route("GET "+PathModels, "models.list", true, s.handleListModels)
-	s.route("POST "+PathRecommend, "models.recommend", true, s.handleRecommend)
-	s.route("GET "+PathCheckpoint, "models.checkpoint", true, s.handleCheckpoint)
-	s.route("GET "+PathHealth, "healthz", false, s.handleHealth)
-	s.route("GET "+PathStats, "statsz", false, s.handleStats)
-	// Scrape and debug surfaces share the shed exemption with health and
-	// stats: an overloaded server is exactly when its metrics and slow
-	// traces are needed.
-	s.route("GET "+PathMetrics, "metricsz", false, s.handleMetrics)
-	s.route("GET "+PathSlow, "slowz", false, s.handleSlow)
+	s.route("POST "+PathIngest, "data.ingest", admitted, s.handleIngest)
+	s.route("POST "+PathIngestBatch, "data.ingest_batch", admitted, s.handleIngestBatch)
+	s.route("POST "+PathCertainty, "data.certainty", admitted, withBody(http.StatusOK, s.b.Certainty))
+	s.route("POST "+PathLookup, "data.lookup", admitted, withBody(http.StatusOK, s.b.Lookup))
+	s.route("POST "+PathNearest, "data.nearest", admitted, withBody(http.StatusOK, s.b.Nearest))
+	s.route("POST "+PathPDF, "data.pdf", admitted, withBody(http.StatusOK, s.b.PDF))
+	if s.local != nil {
+		// Shard-internal calls the router's bootstrap and lookup merge are
+		// built on; a router does not re-export them.
+		s.route("POST "+PathFit, "data.fit", admitted, withBody(http.StatusOK, s.local.Fit))
+		s.route("POST "+PathSamples, "data.samples", admitted, withBody(http.StatusOK, s.local.Samples))
+		s.route("POST "+PathClusterIDs, "data.ids", admitted, withBody(http.StatusOK, s.local.ClusterIDs))
+	}
+	s.route("POST "+PathModels, "models.add", admitted, withBody(http.StatusOK, s.b.AddModel))
+	s.route("GET "+PathModels, "models.list", admitted, noBody(s.b.Models))
+	s.route("POST "+PathRecommend, "models.recommend", admitted, withBody(http.StatusOK, s.b.Recommend))
+	s.route("GET "+PathCheckpoint, "models.checkpoint", admitted, s.handleCheckpoint)
+	// Train submissions are not shed by the global admission gate: the
+	// trainer's own bounded queue is the backpressure (429 on saturation),
+	// and a queued submission costs almost nothing while held. Cancels are
+	// exempt too — under overload, the one request that frees an expensive
+	// training worker must not be the one rejected. Status reads stay shed
+	// like any other read.
+	s.route("POST "+PathTrain, "train.submit", exempt, withBody(http.StatusAccepted, s.b.SubmitTrain))
+	s.route("GET "+PathTrain, "train.list", admitted, noBody(s.b.TrainJobs))
+	s.route("GET "+PathTrainJob, "train.get", admitted, func(w http.ResponseWriter, r *http.Request) error {
+		job, err := s.b.TrainJob(r.Context(), r.PathValue("id"))
+		if err != nil {
+			return err
+		}
+		return writeJSON(w, http.StatusOK, job)
+	})
+	s.route("POST "+PathTrainJob, "train.cancel", exempt, s.handleTrainCancel)
+	s.route("GET "+PathHealth, "healthz", meta, noBody(s.b.Health))
+	s.route("GET "+PathStats, "statsz", meta, func(w http.ResponseWriter, r *http.Request) error {
+		return writeJSON(w, http.StatusOK, s.Stats())
+	})
+	s.route("GET "+PathMetrics, "metricsz", meta, s.handleMetrics)
+	s.route("GET "+PathSlow, "slowz", meta, s.handleSlow)
+	s.route("GET "+PathTraces, "tracez", meta, s.handleTraces)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -247,188 +276,56 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-
-	if cfg.TrainWorkers > 0 {
-		mgr, err := trainer.New(trainer.Config{
-			DS:      cfg.DS,
-			Zoo:     cfg.Zoo,
-			Workers: cfg.TrainWorkers,
-			Queue:   cfg.TrainQueue,
-			// Jobs read the data service under the same lock the bootstrap
-			// fit takes exclusively, so a fit never races a running job.
-			Guard: &s.dsMu,
-			// A checkpoint landing in the zoo invalidates memoized
-			// recommend results exactly like a client-side model add.
-			OnRegister: func(string) { s.zooGen.Add(1) },
-			// Job stage timings land in the same registry and slow-request
-			// ring as serving traffic: epoch durations under
-			// dms_train_epoch_seconds, and any job slower than the request
-			// threshold retains its span tree in /debug/slowz.
-			Obs: s.reg,
-			OnTrace: func(d time.Duration, dump obs.TraceDump) {
-				s.slow.Observe("train.job", d, time.Now(), func() obs.TraceDump { return dump })
-			},
-			Logger: cfg.Logger,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.trainer = mgr
-		mgr.Start()
-		// Train submissions are not shed by the global admission gate: the
-		// trainer's own bounded queue is the backpressure (429 on
-		// saturation), and a queued submission costs almost nothing while
-		// held. Cancels are exempt too — under overload, the one request
-		// that frees an expensive training worker must not be the one
-		// rejected. Status reads stay shed like any other read.
-		s.route("POST "+PathTrain, "train.submit", false, s.handleTrainSubmit)
-		s.route("GET "+PathTrain, "train.list", true, s.handleTrainList)
-		s.route("GET "+PathTrainJob, "train.get", true, s.handleTrainGet)
-		s.route("POST "+PathTrainJob, "train.cancel", false, s.handleTrainCancel)
-	}
 	return s, nil
 }
-
-// Trainer exposes the embedded training manager (nil when training is
-// disabled) — used by the daemon and tests.
-func (s *Server) Trainer() *trainer.Manager { return s.trainer }
 
 // Registry exposes the server's metrics registry so the daemon can hang
 // additional collectors (e.g. docstore RPC instrumentation) onto the same
 // /metricsz surface.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// SlowLog exposes the slow-request ring (disabled unless
-// ServerConfig.SlowThreshold > 0).
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
-
-// registerMetrics mirrors every /statsz counter into the Prometheus
-// registry. Top-level, cache, and index counters stay owned by their
-// existing atomics and are read through closures — one source of truth,
-// two exposition formats. Per-endpoint series are added lazily by route().
-func (s *Server) registerMetrics() {
+// registerMetrics registers the frontend's own families under prefix;
+// per-endpoint series are added lazily by route().
+func (s *Server) registerMetrics(prefix string) {
 	r := s.reg
-	r.GaugeFunc("dms_uptime_seconds", "seconds since server start",
+	r.GaugeFunc(prefix+"uptime_seconds", "seconds since server start",
 		func() float64 { return time.Since(s.start).Seconds() })
-	r.CounterFunc("dms_requests_total", "requests handled (shed excluded)", s.requests.Load)
-	r.CounterFunc("dms_shed_total", "requests rejected with 429 by admission control", s.shed.Load)
-	r.GaugeFunc("dms_in_flight", "requests currently being handled",
+	r.CounterFunc(prefix+"requests_total", "requests handled (shed excluded)", s.requests.Load)
+	r.CounterFunc(prefix+"shed_total", "requests rejected with 429 by admission control", s.shed.Load)
+	r.GaugeFunc(prefix+"in_flight", "requests currently being handled",
 		func() float64 { return float64(s.inFlight.Load()) })
-	r.GaugeFunc("dms_cluster_k", "fitted cluster count (0 = awaiting bootstrap)",
-		func() float64 { return float64(s.clusterK.Load()) })
-
-	r.CounterFunc("dms_cache_hits_total", "coalescing-cache hits", s.cache.hits.Load)
-	r.CounterFunc("dms_cache_misses_total", "coalescing-cache misses", s.cache.misses.Load)
-	r.CounterFunc("dms_cache_coalesced_total", "callers that piggybacked on an in-flight compute", s.cache.coalesced.Load)
-	r.CounterFunc("dms_cache_evictions_total", "LRU evictions", s.cache.evictions.Load)
-	r.GaugeFunc("dms_cache_size", "retained cache entries",
-		func() float64 { return float64(s.cache.len()) })
-
-	// IndexStats reads only atomics inside the data service, so scrapes
-	// never contend with queries or the bootstrap fit.
-	r.GaugeFunc("dms_index_ready", "1 when the vector index covers the store",
-		func() float64 {
-			if s.cfg.DS.IndexStats().Ready {
-				return 1
-			}
-			return 0
-		})
-	r.GaugeFunc("dms_index_size", "indexed vectors",
-		func() float64 { return float64(s.cfg.DS.IndexStats().Size) })
-	r.CounterFunc("dms_index_hits_total", "nearest-label queries answered by the index",
-		func() int64 { return s.cfg.DS.IndexStats().Hits })
-	r.CounterFunc("dms_index_misses_total", "nearest-label queries that fell back to a store scan",
-		func() int64 { return s.cfg.DS.IndexStats().Misses })
-	r.CounterFunc("dms_index_probed_total", "vectors distance-compared by the index",
-		func() int64 { return s.cfg.DS.IndexStats().Probed })
-	r.CounterFunc("dms_index_lists_probed_total", "index partitions visited",
-		func() int64 { return s.cfg.DS.IndexStats().ListsProbed })
-	r.CounterFunc("dms_index_corrupt_total", "corrupt stored-document observations",
-		func() int64 { return s.cfg.DS.IndexStats().Corrupt })
-
-	r.CounterFunc("dms_slow_requests_total", "requests over the slow-log threshold", s.slow.Total)
-
-	if s.cfg.TrainWorkers > 0 {
-		trainStats := func(pick func(trainer.Stats) int64) func() int64 {
-			return func() int64 {
-				if s.trainer == nil { // scrape racing construction
-					return 0
-				}
-				return pick(s.trainer.Stats())
-			}
-		}
-		r.CounterFunc("dms_train_submitted_total", "training jobs submitted",
-			trainStats(func(t trainer.Stats) int64 { return t.Submitted }))
-		r.CounterFunc("dms_train_completed_total", "training jobs completed",
-			trainStats(func(t trainer.Stats) int64 { return t.Completed }))
-		r.CounterFunc("dms_train_failed_total", "training jobs failed",
-			trainStats(func(t trainer.Stats) int64 { return t.Failed }))
-		r.CounterFunc("dms_train_canceled_total", "training jobs canceled",
-			trainStats(func(t trainer.Stats) int64 { return t.Canceled }))
-		r.CounterFunc("dms_train_warm_starts_total", "jobs warm-started from a zoo checkpoint",
-			trainStats(func(t trainer.Stats) int64 { return t.WarmStarts }))
-		r.CounterFunc("dms_train_cold_starts_total", "jobs trained from scratch",
-			trainStats(func(t trainer.Stats) int64 { return t.ColdStarts }))
-		r.GaugeFunc("dms_train_queue_depth", "jobs waiting for a training worker",
-			func() float64 {
-				if s.trainer == nil {
-					return 0
-				}
-				return float64(s.trainer.Stats().QueueDepth)
-			})
-		r.GaugeFunc("dms_train_active", "jobs currently training",
-			func() float64 {
-				if s.trainer == nil {
-					return 0
-				}
-				return float64(s.trainer.Stats().Active)
-			})
+	r.CounterFunc(prefix+"slow_requests_total", "requests over the slow-log threshold", s.slow.Total)
+	if s.traces.Enabled() {
+		r.CounterFunc(prefix+"retained_traces_total", "span trees retained by tail-based sampling", s.traces.Total)
 	}
-
-	if s.cfg.WalStats != nil {
-		walStat := func(pick func(WalStats) int64) func() int64 {
-			return func() int64 { return pick(s.cfg.WalStats()) }
-		}
-		r.CounterFunc("dms_wal_appends_total", "WAL records appended",
-			walStat(func(w WalStats) int64 { return w.Appends }))
-		r.CounterFunc("dms_wal_bytes_total", "WAL bytes appended",
-			walStat(func(w WalStats) int64 { return w.AppendedBytes }))
-		r.CounterFunc("dms_wal_syncs_total", "WAL fsync calls",
-			walStat(func(w WalStats) int64 { return w.Syncs }))
-		r.CounterFunc("dms_wal_replays_total", "WAL segment replays at startup",
-			walStat(func(w WalStats) int64 { return w.Replays }))
-		r.CounterFunc("dms_wal_replayed_records_total", "WAL records replayed at startup",
-			walStat(func(w WalStats) int64 { return w.ReplayedRecords }))
-		r.CounterFunc("dms_wal_torn_truncations_total", "torn WAL tails truncated during replay",
-			walStat(func(w WalStats) int64 { return w.TornTruncations }))
-		r.CounterFunc("dms_wal_corrupt_records_total", "corrupt WAL records truncated during replay",
-			walStat(func(w WalStats) int64 { return w.CorruptRecords }))
-		r.CounterFunc("dms_wal_compactions_total", "WAL compactions folded into the snapshot",
-			walStat(func(w WalStats) int64 { return w.Compactions }))
-	}
-
-	s.epErrors = r.CounterVec("dms_endpoint_errors_total", "error responses by endpoint", "endpoint")
-	s.epLatency = r.HistogramVec("dms_endpoint_latency_seconds", "request latency by endpoint", "endpoint")
+	s.slo.Register(r)
+	s.epErrors = r.CounterVec(prefix+"endpoint_errors_total", "error responses by endpoint", "endpoint")
+	s.epLatency = r.HistogramVec(prefix+"endpoint_latency_seconds", "request latency by endpoint", "endpoint")
 }
 
-// route registers a handler with admission control, metrics, and
-// request tracing. shed=false exempts the endpoint from load shedding
-// (health, stats, and the metrics/slowz scrape surfaces must answer even
-// when the server is saturated).
-func (s *Server) route(pattern, name string, shed bool, h func(w http.ResponseWriter, r *http.Request) error) {
+// route registers a handler behind the middleware stack. Three costs are
+// paid only when something asks for them, so an unsampled request on a
+// daemon with no rings armed runs with a nil trace and every span call
+// no-ops: a trace is built only when the client sampled (X-Dms-Trace with
+// ;sample) or a retention ring is armed; the span trailer is encoded only
+// when the client sampled; and the degraded-flag context exists only while
+// the tail ring is on.
+func (s *Server) route(pattern, name string, kind routeKind, h handler) {
 	m := &endpointMetrics{errors: s.epErrors.With(name), hist: s.epLatency.With(name)}
 	s.metrics[name] = m
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
-		if shed && s.sem != nil {
+		if kind == admitted && s.sem != nil {
 			select {
 			case s.sem <- struct{}{}:
 				defer func() { <-s.sem }()
 			default:
 				s.shed.Add(1)
-				writeError(w, http.StatusTooManyRequests, CodeOverloaded, "server at max in-flight requests")
+				WriteError(w, http.StatusTooManyRequests, ErrorBody{
+					Code: CodeOverloaded, Message: "server at max in-flight requests", Retryable: true,
+				})
 				return
 			}
 		}
@@ -436,19 +333,26 @@ func (s *Server) route(pattern, name string, shed bool, h func(w http.ResponseWr
 		defer s.inFlight.Add(-1)
 		s.requests.Add(1)
 
-		// A trace is built when the client asked for one (X-Dms-Trace with
-		// ;sample) or the slow-request log might need it; otherwise the
-		// request runs with a nil trace and every span call no-ops.
 		id, sampled := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
+		tail := kind != meta && s.traces.Enabled()
 		var tr *obs.Trace
 		var root *obs.Span
-		if sampled || s.slow.Enabled() {
-			tr = obs.NewTrace(id, sampled)
+		if sampled || tail || s.slow.Enabled() {
+			// Tail retention marks the trace sampled internally so a
+			// router's shard calls carry the header and graft the shards'
+			// subtrees in, even when only the ring asked for the tree.
+			tr = obs.NewTrace(id, sampled || tail)
 			ctx := obs.NewContext(r.Context(), tr)
-			ctx, root = obs.StartSpan(ctx, "request")
+			ctx, root = obs.StartSpan(ctx, s.rootSpan)
 			r = r.WithContext(ctx)
 		}
-		if tr.Sampled() {
+		var degraded *atomic.Bool
+		if tail {
+			var ctx context.Context
+			ctx, degraded = withDegradedFlag(r.Context())
+			r = r.WithContext(ctx)
+		}
+		if sampled {
 			// The span tree is only complete after the body is written, so
 			// it rides back as an HTTP trailer (chunked responses only —
 			// fixed-length ones like checkpoint downloads drop it).
@@ -462,22 +366,90 @@ func (s *Server) route(pattern, name string, shed bool, h func(w http.ResponseWr
 		m.observe(d, err != nil)
 		if tr != nil {
 			s.slow.Observe(name, d, time.Now(), tr.Dump)
-			if tr.Sampled() {
+			if sampled {
 				w.Header().Set(obs.SpanHeader, obs.EncodeDump(tr.Dump()))
 			}
 		}
+		if kind != meta {
+			s.slo.Observe(name, d, err != nil)
+			if tail {
+				s.retain(name, d, err, degraded.Load(), tr)
+			}
+		}
 		if err != nil {
-			code, errCode := http.StatusInternalServerError, CodeInternal
-			var he *httpError
-			if errors.As(err, &he) {
-				code, errCode = he.code, he.errCode
-			}
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.Printf("dmsapi: %s %s: %d %v", r.Method, r.URL.Path, code, err)
-			}
-			writeError(w, code, errCode, err.Error())
+			s.logFailure(name, r, d, err)
+			WriteStatusError(w, err)
 		}
 	})
+}
+
+func (m *endpointMetrics) observe(d time.Duration, failed bool) {
+	if failed {
+		m.errors.Inc()
+	}
+	m.hist.Record(d)
+}
+
+// retain applies the tail-based retention decision to one finished
+// request: keep its span tree if it errored, was degraded, or was slow.
+func (s *Server) retain(name string, d time.Duration, err error, degraded bool, tr *obs.Trace) {
+	slow := s.slow.Enabled() && d >= s.slow.Threshold()
+	if err == nil && !degraded && !slow {
+		return
+	}
+	e := obs.TraceEntry{
+		Op:       name,
+		DurMS:    durMS(d),
+		At:       time.Now(),
+		Degraded: degraded,
+		Trace:    tr.Dump(),
+	}
+	if err != nil {
+		e.Error = err.Error()
+	}
+	s.traces.Add(e)
+}
+
+// logFailure logs a failed request: server faults (5xx) at warn, the
+// client's own errors and shedding at debug.
+func (s *Server) logFailure(name string, r *http.Request, d time.Duration, err error) {
+	status := http.StatusInternalServerError
+	var se *StatusError
+	if errors.As(err, &se) {
+		status = se.Code
+	}
+	log := s.cfg.Logger.Debug
+	if status >= 500 {
+		log = s.cfg.Logger.Warn
+	}
+	log("request failed", "endpoint", name, "method", r.Method, "path", r.URL.Path,
+		"status", status, "dur", d, "err", err)
+}
+
+// withBody adapts a Backend method that takes a JSON request body.
+func withBody[Req, Resp any](status int, call func(context.Context, Req) (Resp, error)) handler {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		var req Req
+		if err := decodeJSON(r.Body, &req); err != nil {
+			return err
+		}
+		resp, err := call(r.Context(), req)
+		if err != nil {
+			return err
+		}
+		return writeJSON(w, status, resp)
+	}
+}
+
+// noBody adapts a Backend method that takes no request.
+func noBody[Resp any](call func(context.Context) (Resp, error)) handler {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		resp, err := call(r.Context())
+		if err != nil {
+			return err
+		}
+		return writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // Listen binds to addr ("127.0.0.1:0" picks a free port) and starts
@@ -509,24 +481,21 @@ func (s *Server) Addr() string {
 	return s.lis.Addr().String()
 }
 
-// Handler exposes the routing table (e.g. for httptest).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Shutdown gracefully stops the server: the listener closes immediately,
-// in-flight requests get until ctx expires to finish, and the training
-// subsystem stops accepting jobs, cancels the running ones, and drains
-// its workers.
+// in-flight requests get until ctx expires to finish, and an in-process
+// training subsystem stops accepting jobs, cancels the running ones, and
+// drains its workers. A router's Backend lifecycle stays the caller's.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var httpErr error
+	var err error
 	if s.http != nil {
-		httpErr = s.http.Shutdown(ctx)
+		err = s.http.Shutdown(ctx)
 	}
-	if s.trainer != nil {
-		if err := s.trainer.Shutdown(ctx); err != nil && httpErr == nil {
-			httpErr = err
+	if s.local != nil {
+		if lerr := s.local.shutdown(ctx); lerr != nil && err == nil {
+			err = lerr
 		}
 	}
-	return httpErr
+	return err
 }
 
 // Requests reports how many requests have been handled (shed ones excluded).
@@ -555,14 +524,6 @@ var buildInfo = sync.OnceValue(func() (bi struct{ goVersion, version, revision s
 	return bi
 })
 
-// BuildIdentity reports the running binary's identity (Go toolchain,
-// main-module version, VCS revision) — the same block dmsd's /statsz
-// carries, exported so the cluster router reports it too.
-func BuildIdentity() (goVersion, version, revision string) {
-	bi := buildInfo()
-	return bi.goVersion, bi.version, bi.revision
-}
-
 // Stats snapshots the server counters (the /statsz payload).
 func (s *Server) Stats() Stats {
 	eps := make(map[string]EndpointStats, len(s.metrics))
@@ -584,21 +545,8 @@ func (s *Server) Stats() Stats {
 		}
 		eps[name] = ep
 	}
-	var ts *TrainStats
-	if s.trainer != nil {
-		snap := s.trainer.Stats()
-		ts = &snap
-	}
-	var ws *WalStats
-	if s.cfg.WalStats != nil {
-		snap := s.cfg.WalStats()
-		ws = &snap
-	}
 	bi := buildInfo()
-	// IndexStats is atomically counted inside the data service, so no dsMu
-	// here — /statsz answers even during a bootstrap fit.
-	is := s.cfg.DS.IndexStats()
-	return Stats{
+	st := Stats{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		GoVersion:     bi.goVersion,
 		Version:       bi.version,
@@ -606,26 +554,26 @@ func (s *Server) Stats() Stats {
 		InFlight:      int(s.inFlight.Load()),
 		Shed:          s.shed.Load(),
 		Requests:      s.requests.Load(),
-		Cache:         s.cache.stats(),
-		Index: IndexStats{
-			Enabled:     is.Enabled,
-			Ready:       is.Ready,
-			Size:        is.Size,
-			Hits:        is.Hits,
-			Misses:      is.Misses,
-			Probed:      is.Probed,
-			ListsProbed: is.ListsProbed,
-			Corrupt:     is.Corrupt,
-		},
-		Train:     ts,
-		Wal:       ws,
-		Endpoints: eps,
+		Endpoints:     eps,
+		SLO:           s.slo.Status(),
 	}
+	if s.local != nil {
+		s.local.fillStats(&st)
+	}
+	if s.fleet != nil {
+		cs := s.fleet.Stats()
+		st.Cluster = &cs
+	}
+	return st
 }
 
 // ---------------------------------------------------------------------------
-// Data-plane handlers
+// Handlers with more than a decode → call → encode body
 
+// handleIngest serves the all-or-nothing single-request ingest over the
+// backend's batch Ingest: every sample is validated up front (one shape
+// width per request, as the non-batch endpoint always required) so a bad
+// one rejects the request before anything commits.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	var req IngestRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
@@ -635,23 +583,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if err := s.ensureClusters(samples); err != nil {
+	for i, smp := range samples[1:] {
+		if smp.Elems() != samples[0].Elems() {
+			return errf(http.StatusBadRequest, "ingest: sample %d has %d elements, sample 0 has %d",
+				i+1, smp.Elems(), samples[0].Elems())
+		}
+	}
+	resp, err := s.b.Ingest(r.Context(), IngestBatchRequest{Dataset: req.Dataset, Samples: req.Samples})
+	if err != nil {
 		return err
 	}
-	s.dsMu.RLock()
-	ids, err := s.cfg.DS.IngestLabeledContext(r.Context(), samples, req.Dataset)
-	s.dsMu.RUnlock()
-	if err != nil {
-		return serviceError(err)
+	if len(resp.Errors) > 0 {
+		return errf(http.StatusBadRequest, "ingest: sample %d: %s", resp.Errors[0].Index, resp.Errors[0].Error)
 	}
-	return writeJSON(w, IngestResponse{IDs: ids})
+	return writeJSON(w, http.StatusOK, IngestResponse{IDs: resp.IDs})
 }
 
 // handleIngestBatch is the high-throughput ingest path: per-document
-// failure reporting instead of all-or-nothing, and a pipelined
-// embed→index→store flow underneath (fairds.IngestLabeledBatch). A
-// malformed wire sample is rejected at this boundary with a DocError; the
-// survivors bootstrap the clustering model if needed and commit.
+// failure reporting instead of all-or-nothing, bounded by MaxBatchDocs.
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error {
 	var req IngestBatchRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
@@ -665,373 +614,20 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 			"ingest-batch: %d documents exceeds the %d-document cap (split the batch)",
 			len(req.Samples), s.cfg.MaxBatchDocs)
 	}
-
-	resp := IngestBatchResponse{IDs: make([]string, len(req.Samples))}
-	valid := make([]*codec.Sample, 0, len(req.Samples))
-	validIdx := make([]int, 0, len(req.Samples))
-	for i := range req.Samples {
-		smp, err := decodeSample(req.Samples[i])
-		if err != nil {
-			resp.Errors = append(resp.Errors, DocError{Index: i, Error: err.Error()})
-			continue
-		}
-		valid = append(valid, smp)
-		validIdx = append(validIdx, i)
-	}
-
-	if len(valid) > 0 {
-		// The bootstrap fit collates its input, which would fail the whole
-		// request on a mixed-width batch — but per-document failure is this
-		// endpoint's contract, so only documents matching the batch's
-		// reference width (the first valid sample, same rule as
-		// IngestLabeledBatch) feed the fit; the off-width rest still get
-		// their individual errors from the service below.
-		fitSet := valid
-		refWidth := valid[0].Elems()
-		for _, smp := range valid[1:] {
-			if smp.Elems() != refWidth {
-				fitSet = make([]*codec.Sample, 0, len(valid))
-				for _, s := range valid {
-					if s.Elems() == refWidth {
-						fitSet = append(fitSet, s)
-					}
-				}
-				break
-			}
-		}
-		if err := s.ensureClusters(fitSet); err != nil {
-			return err
-		}
-		s.dsMu.RLock()
-		res, err := s.cfg.DS.IngestLabeledBatchContext(r.Context(), valid, req.Dataset, fairds.BatchOptions{})
-		s.dsMu.RUnlock()
-		if err != nil {
-			return serviceError(err)
-		}
-		for j, id := range res.IDs {
-			resp.IDs[validIdx[j]] = id
-		}
-		for _, de := range res.Errors {
-			resp.Errors = append(resp.Errors, DocError{Index: validIdx[de.Index], Error: de.Err.Error()})
-		}
-	}
-	sort.Slice(resp.Errors, func(i, j int) bool { return resp.Errors[i].Index < resp.Errors[j].Index })
-	for _, id := range resp.IDs {
-		if id != "" {
-			resp.Inserted++
-		}
-	}
-	return writeJSON(w, resp)
-}
-
-// ensureClusters performs the bootstrap fit: a daemon that started with an
-// empty store fits its clustering module on the first ingested batch.
-func (s *Server) ensureClusters(samples []*codec.Sample) error {
-	s.dsMu.RLock()
-	fitted := s.cfg.DS.K() > 0
-	s.dsMu.RUnlock()
-	if fitted || s.cfg.BootstrapK <= 0 {
-		return nil
-	}
-	s.dsMu.Lock()
-	defer s.dsMu.Unlock()
-	if s.cfg.DS.K() > 0 { // raced with another bootstrapper
-		return nil
-	}
-	x, err := fairds.Collate(samples)
-	if err != nil {
-		return errf(http.StatusBadRequest, "ingest: %v", err)
-	}
-	if err := s.cfg.DS.FitClustersK(x, s.cfg.BootstrapK); err != nil {
-		return serviceError(err)
-	}
-	s.clusterK.Store(int64(s.cfg.DS.K()))
-	s.clusterGen.Add(1)
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("dmsapi: bootstrap-fitted %d clusters on a %d-sample batch",
-			s.cfg.BootstrapK, len(samples))
-	}
-	return nil
-}
-
-func (s *Server) handleCertainty(w http.ResponseWriter, r *http.Request) error {
-	var req CertaintyRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	samples, err := decodeSamples(req.Samples)
+	resp, err := s.b.Ingest(r.Context(), req)
 	if err != nil {
 		return err
 	}
-	x, err := fairds.Collate(samples)
-	if err != nil {
-		return errf(http.StatusBadRequest, "certainty: %v", err)
-	}
-	threshold := req.Threshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	s.dsMu.RLock()
-	cert, err := s.cfg.DS.CertaintyContext(r.Context(), x, threshold)
-	s.dsMu.RUnlock()
-	if err != nil {
-		return serviceError(err)
-	}
-	return writeJSON(w, CertaintyResponse{Certainty: cert})
-}
-
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) error {
-	var req LookupRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	samples, err := decodeSamples(req.Samples)
-	if err != nil {
-		return err
-	}
-	x, err := fairds.Collate(samples)
-	if err != nil {
-		return errf(http.StatusBadRequest, "lookup: %v", err)
-	}
-	s.dsMu.RLock()
-	labeled, err := s.cfg.DS.LookupLabeledContext(r.Context(), x)
-	s.dsMu.RUnlock()
-	if err != nil {
-		return serviceError(err)
-	}
-	return writeJSON(w, LookupResponse{Samples: FromCodecSlice(labeled)})
-}
-
-func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) error {
-	var req NearestRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	samples, err := decodeSamples(req.Samples)
-	if err != nil {
-		return err
-	}
-	var exclude map[string]bool
-	if len(req.Exclude) > 0 {
-		exclude = make(map[string]bool, len(req.Exclude))
-		for _, id := range req.Exclude {
-			exclude[id] = true
-		}
-	}
-	s.dsMu.RLock()
-	matches, err := s.cfg.DS.NearestMatchesExcluding(r.Context(), samples, req.Distinct, exclude)
-	s.dsMu.RUnlock()
-	if err != nil {
-		return serviceError(err)
-	}
-	out := make([]Match, len(matches))
-	for i, m := range matches {
-		if m.DocID != "" {
-			out[i] = Match{DocID: m.DocID, Dist: m.Dist, Found: true}
-		}
-	}
-	return writeJSON(w, NearestResponse{Matches: out})
-}
-
-func (s *Server) handlePDF(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return errf(http.StatusBadRequest, "pdf: reading body: %v", err)
-	}
-	key := fmt.Sprintf("pdf:%d:%s", s.clusterGen.Load(), bodyHash(body))
-	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
-		var req PDFRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, errf(http.StatusBadRequest, "pdf: decoding request: %v", err)
-		}
-		samples, err := decodeSamples(req.Samples)
-		if err != nil {
-			return nil, err
-		}
-		x, err := fairds.Collate(samples)
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "pdf: %v", err)
-		}
-		s.dsMu.RLock()
-		pdf, err := s.cfg.DS.DatasetPDFContext(ctx, x)
-		s.dsMu.RUnlock()
-		if err != nil {
-			return nil, serviceError(err)
-		}
-		return PDFResponse{PDF: pdf, K: len(pdf)}, nil
-	})
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, v)
-}
-
-// handleFit explicitly fits the clustering model — the cluster router's
-// coordinated bootstrap: every shard is fitted on the same full batch
-// (and the shards share an embedder seed), so the replicated models
-// agree and scatter-gather reductions stay exact. Idempotent: a fitted
-// service reports its K and does nothing.
-func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) error {
-	var req FitRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	if req.K <= 0 {
-		return errf(http.StatusBadRequest, "fit: k must be positive, got %d", req.K)
-	}
-	samples, err := decodeSamples(req.Samples)
-	if err != nil {
-		return err
-	}
-	s.dsMu.Lock()
-	defer s.dsMu.Unlock()
-	if k := s.cfg.DS.K(); k > 0 {
-		return writeJSON(w, FitResponse{K: k})
-	}
-	x, err := fairds.Collate(samples)
-	if err != nil {
-		return errf(http.StatusBadRequest, "fit: %v", err)
-	}
-	if err := s.cfg.DS.FitClustersK(x, req.K); err != nil {
-		return serviceError(err)
-	}
-	s.clusterK.Store(int64(s.cfg.DS.K()))
-	s.clusterGen.Add(1)
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf("dmsapi: fit %d clusters on a %d-sample batch (explicit)", req.K, len(samples))
-	}
-	return writeJSON(w, FitResponse{K: s.cfg.DS.K(), Fitted: true})
-}
-
-// handleSamples fetches stored samples by ID — the cluster router's
-// lookup merge retrieves each shard's contribution through this.
-func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) error {
-	var req SamplesRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	if len(req.IDs) == 0 {
-		return errf(http.StatusBadRequest, "samples: empty id list")
-	}
-	s.dsMu.RLock()
-	samples, missing, err := s.cfg.DS.SamplesByIDContext(r.Context(), req.IDs, req.Partial)
-	s.dsMu.RUnlock()
-	if err != nil {
-		if !req.Partial {
-			// A miss on the strict path is the caller naming an unknown
-			// document, not a server fault.
-			return errf(http.StatusNotFound, "samples: %v", err)
-		}
-		return serviceError(err)
-	}
-	return writeJSON(w, SamplesResponse{Samples: FromCodecSlice(samples), Missing: missing})
-}
-
-// handleClusterIDs lists one cluster's document IDs (sorted) — the
-// candidate-gathering half of the router's lookup merge.
-func (s *Server) handleClusterIDs(w http.ResponseWriter, r *http.Request) error {
-	var req ClusterIDsRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	if req.Cluster < 0 {
-		return errf(http.StatusBadRequest, "ids: negative cluster %d", req.Cluster)
-	}
-	s.dsMu.RLock()
-	ids, err := s.cfg.DS.ClusterDocIDs(r.Context(), req.Cluster)
-	s.dsMu.RUnlock()
-	if err != nil {
-		return serviceError(err)
-	}
-	return writeJSON(w, ClusterIDsResponse{IDs: ids})
-}
-
-// ---------------------------------------------------------------------------
-// Model-plane handlers
-
-func (s *Server) handleAddModel(w http.ResponseWriter, r *http.Request) error {
-	var req AddModelRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	if len(req.State) == 0 {
-		return errf(http.StatusBadRequest, "models: empty state blob")
-	}
-	sd, err := nn.StateDictFromBytes(req.State)
-	if err != nil {
-		return errf(http.StatusBadRequest, "models: %v", err)
-	}
-	if err := s.cfg.Zoo.Add(req.ID, sd, req.PDF, req.Meta); err != nil {
-		// Only a duplicate ID is a conflict; everything else Add rejects
-		// (empty ID, invalid PDF) is a malformed request.
-		if errors.Is(err, fairms.ErrDuplicateID) {
-			return errc(http.StatusConflict, CodeConflict, "%v", err)
-		}
-		return errf(http.StatusBadRequest, "%v", err)
-	}
-	s.zooGen.Add(1) // recommend results computed against the old zoo are stale
-	return writeJSON(w, ModelInfo{ID: req.ID, K: len(req.PDF), Meta: req.Meta})
-}
-
-func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) error {
-	ids := s.cfg.Zoo.IDs()
-	models := make([]ModelInfo, 0, len(ids))
-	for _, id := range ids {
-		rec, err := s.cfg.Zoo.Get(id)
-		if err != nil {
-			continue // removed between IDs() and Get()
-		}
-		models = append(models, ModelInfo{
-			ID: rec.ID, K: len(rec.TrainPDF), Meta: rec.Meta, AddedAt: rec.AddedAt,
-		})
-	}
-	return writeJSON(w, ModelsResponse{Models: models})
-}
-
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return errf(http.StatusBadRequest, "recommend: reading body: %v", err)
-	}
-	key := fmt.Sprintf("rec:%d:%s", s.zooGen.Load(), bodyHash(body))
-	v, err := s.cache.do(r.Context(), key, func(ctx context.Context) (any, error) {
-		var req RecommendRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, errf(http.StatusBadRequest, "recommend: decoding request: %v", err)
-		}
-		_, sp := obs.StartSpan(ctx, "zoo_rank")
-		ranked, err := s.cfg.Zoo.Rank(req.PDF)
-		sp.End()
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
-		}
-		if len(ranked) == 0 {
-			return RecommendResponse{OK: false}, nil
-		}
-		best := ranked[0]
-		if req.MaxJSD > 0 && best.JSD > req.MaxJSD {
-			return RecommendResponse{JSD: best.JSD, OK: false}, nil
-		}
-		return RecommendResponse{ID: best.Record.ID, JSD: best.JSD, OK: true}, nil
-	})
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, v)
+	return writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) error {
-	id := r.PathValue("id")
-	rec, err := s.cfg.Zoo.Get(id)
+	// The backend encodes to memory first: once bytes hit the
+	// ResponseWriter the status is committed, and a mid-stream failure
+	// could no longer be reported as an error response.
+	blob, err := s.b.Checkpoint(r.Context(), r.PathValue("id"))
 	if err != nil {
-		return errf(http.StatusNotFound, "%v", err)
-	}
-	// Encode to memory first: once bytes hit the ResponseWriter the status
-	// is committed, and a mid-stream encode failure could no longer be
-	// reported as an error response.
-	blob, err := rec.State.Bytes()
-	if err != nil {
-		return errf(http.StatusInternalServerError, "encoding checkpoint %s: %v", id, err)
+		return err
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
@@ -1039,72 +635,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) error 
 	// already committed, so there is no error body left to send.
 	w.Write(blob)
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Training-plane handlers
-
-// handleTrainSubmit enqueues a server-side training job. Queue saturation
-// surfaces as 429 — training backpressure, distinct from the global
-// admission gate — and an unfitted clustering model as 409 (the job could
-// only fail asynchronously on its PDF computation otherwise).
-func (s *Server) handleTrainSubmit(w http.ResponseWriter, r *http.Request) error {
-	var req TrainRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		return err
-	}
-	if s.clusterK.Load() == 0 {
-		return errc(http.StatusConflict, CodeNotFitted, "train: %v", fairds.ErrNotFitted)
-	}
-	spec := trainer.Spec{
-		Dataset:     req.Dataset,
-		Model:       req.Model,
-		Hidden:      req.Hidden,
-		Epochs:      req.Epochs,
-		BatchSize:   req.BatchSize,
-		LR:          req.LR,
-		TargetLoss:  req.TargetLoss,
-		Patience:    req.Patience,
-		MaxJSD:      req.MaxJSD,
-		ValFraction: req.ValFraction,
-		Seed:        req.Seed,
-		ModelID:     req.ModelID,
-		Meta:        req.Meta,
-	}
-	if len(req.Samples) > 0 {
-		samples, err := decodeSamples(req.Samples)
-		if err != nil {
-			return err
-		}
-		spec.Samples = samples
-	}
-	st, err := s.trainer.Submit(spec)
-	switch {
-	case errors.Is(err, trainer.ErrQueueFull):
-		return errf(http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, trainer.ErrShutdown):
-		return errf(http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		return errf(http.StatusBadRequest, "%v", err)
-	}
-	return writeJSON(w, wireTrainJob(st, true))
-}
-
-func (s *Server) handleTrainList(w http.ResponseWriter, r *http.Request) error {
-	statuses := s.trainer.List()
-	resp := TrainListResponse{Jobs: make([]TrainJob, len(statuses))}
-	for i, st := range statuses {
-		resp.Jobs[i] = wireTrainJob(st, false) // curves only in the detail view
-	}
-	return writeJSON(w, resp)
-}
-
-func (s *Server) handleTrainGet(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.trainer.Get(r.PathValue("id"))
-	if err != nil {
-		return errf(http.StatusNotFound, "%v", err)
-	}
-	return writeJSON(w, wireTrainJob(st, true))
 }
 
 // handleTrainCancel serves POST /v1/train/{id}:cancel. ServeMux wildcards
@@ -1115,69 +645,34 @@ func (s *Server) handleTrainCancel(w http.ResponseWriter, r *http.Request) error
 	if !ok {
 		return errf(http.StatusNotFound, "train: POST %s is not an action (want {id}:cancel)", r.URL.Path)
 	}
-	st, err := s.trainer.Cancel(id)
+	job, err := s.b.CancelTrain(r.Context(), id)
 	if err != nil {
-		return errf(http.StatusNotFound, "%v", err)
+		return err
 	}
-	return writeJSON(w, wireTrainJob(st, true))
-}
-
-// wireTrainJob converts a trainer status snapshot to its wire form.
-func wireTrainJob(st *trainer.Status, withCurves bool) TrainJob {
-	j := TrainJob{
-		ID:          st.ID,
-		State:       string(st.State),
-		Model:       st.Model,
-		Dataset:     st.Dataset,
-		Samples:     st.Samples,
-		Warm:        st.Warm,
-		Foundation:  st.Foundation,
-		JSD:         st.JSD,
-		Epochs:      st.Epochs,
-		Converged:   st.Converged,
-		ConvergedAt: st.ConvergedAt,
-		ModelID:     st.ModelID,
-		Error:       st.Err,
-		SubmittedAt: st.SubmittedAt,
-		StartedAt:   st.StartedAt,
-		FinishedAt:  st.FinishedAt,
-	}
-	if withCurves {
-		j.TrainLoss = st.TrainLoss
-		j.ValLoss = st.ValLoss
-	}
-	return j
-}
-
-// ---------------------------------------------------------------------------
-// Operational handlers
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
-	// No dsMu here: clusterK is the server's own mirror, and StoreCount
-	// only touches the internally synchronized store — so liveness answers
-	// even while a bootstrap fit holds dsMu exclusively.
-	return writeJSON(w, HealthResponse{
-		Status:  "ok",
-		K:       int(s.clusterK.Load()),
-		Models:  s.cfg.Zoo.Len(),
-		Samples: s.cfg.DS.StoreCount(),
-	})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	return writeJSON(w, s.Stats())
+	return writeJSON(w, http.StatusOK, job)
 }
 
 // handleMetrics serves the Prometheus text exposition. Every /statsz
-// counter is a registry member (registerMetrics), so the two surfaces
-// always agree.
+// counter is a registry member, so the two surfaces always agree. On a
+// router the fleet's federated exposition follows the router's own
+// families: every healthy shard's dms_* families relabeled with
+// node=<addr>, then the dms_fleet_* aggregates. The names never collide
+// with the router's own dms_router_*/dms_slo_* families, so the
+// concatenation stays a valid exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
+	s.slo.Status() // refresh burn-rate gauges before rendering
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	return s.reg.WritePrometheus(w)
+	if err := s.reg.WritePrometheus(w); err != nil {
+		return errf(http.StatusInternalServerError, "metrics export: %v", err)
+	}
+	if s.fleet != nil {
+		w.Write(s.fleet.FleetMetrics(r.Context()))
+	}
+	return nil
 }
 
 // handleSlow serves the slow-request ring: the retained span trees of the
-// slowest recent requests, slowest first. 404 when the log is disabled
+// slowest recent requests, slowest first. 404 when the ring is disabled
 // (SlowThreshold <= 0), so probers can distinguish "off" from "empty".
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) error {
 	entries, err := s.slow.Snapshot()
@@ -1187,102 +682,68 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusInternalServerError, "%v", err)
 	}
-	return writeJSON(w, SlowzResponse{
+	return writeJSON(w, http.StatusOK, SlowzResponse{
 		ThresholdMS: durMS(s.slow.Threshold()),
 		Total:       s.slow.Total(),
 		Entries:     entries,
 	})
 }
 
+// handleTraces serves GET /debug/tracez: the tail-retained span trees,
+// newest first, filterable by ?op=&min_ms=&error=&degraded=. 404 when
+// the ring is disabled (TraceRing <= 0).
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
+	q := obs.TraceQuery{Op: r.URL.Query().Get("op")}
+	if v := r.URL.Query().Get("min_ms"); v != "" {
+		ms, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return errf(http.StatusBadRequest, "tracez: bad min_ms: %v", err)
+		}
+		q.MinMS = ms
+	}
+	for _, f := range []struct {
+		name string
+		dst  **bool
+	}{{"error", &q.Error}, {"degraded", &q.Degraded}} {
+		if v := r.URL.Query().Get(f.name); v != "" {
+			b, err := strconv.ParseBool(v)
+			if err != nil {
+				return errf(http.StatusBadRequest, "tracez: bad %s: %v", f.name, err)
+			}
+			*f.dst = &b
+		}
+	}
+	entries, err := s.traces.Query(q)
+	if errors.Is(err, obs.ErrDisabled) {
+		return errf(http.StatusNotFound, "%v", err)
+	}
+	if err != nil {
+		return errf(http.StatusInternalServerError, "tracez: %v", err)
+	}
+	return writeJSON(w, http.StatusOK, TracezResponse{Total: s.traces.Total(), Traces: entries})
+}
+
 // ---------------------------------------------------------------------------
 // Helpers
-
-// serviceError maps library errors to HTTP status codes: an unfitted
-// clustering model is the caller's sequencing problem (the service is up
-// but not ready for lookups — 409), everything else is internal (500).
-func serviceError(err error) error {
-	var he *httpError
-	if errors.As(err, &he) {
-		return err
-	}
-	if errors.Is(err, fairds.ErrNotFitted) {
-		return errc(http.StatusConflict, CodeNotFitted, "%v", err)
-	}
-	return errf(http.StatusInternalServerError, "%v", err)
-}
-
-// decodeSamples converts and validates untrusted wire samples. Every
-// data-plane handler passes its input through here, so a shape/dtype/
-// payload mismatch becomes a 400 instead of a panic deeper in the stack
-// (codec.Sample.Floats indexes Data by shape, and Dtype.Size panics on
-// unknown dtypes).
-func decodeSamples(ws []Sample) ([]*codec.Sample, error) {
-	if len(ws) == 0 {
-		return nil, errf(http.StatusBadRequest, "empty sample batch")
-	}
-	out := make([]*codec.Sample, len(ws))
-	for i := range ws {
-		s, err := decodeSample(ws[i])
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "sample %d: %v", i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// decodeSample converts and validates one untrusted wire sample. The batch
-// endpoint calls it per document so one bad sample yields a DocError
-// instead of failing the whole request.
-func decodeSample(w Sample) (*codec.Sample, error) {
-	if d := codec.Dtype(w.Dtype); d < codec.U8 || d > codec.F64 {
-		return nil, fmt.Errorf("unknown dtype %d", w.Dtype)
-	}
-	s := w.ToCodec()
-	if s.Elems() <= 0 {
-		return nil, fmt.Errorf("shape %v has no elements", s.Shape)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
 
 // durMS converts a duration to fractional milliseconds for wire stats.
 func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
+// decodeJSON decodes a request body; a body over the MaxBodyBytes cap is
+// 413, anything else undecodable 400.
 func decodeJSON(r io.Reader, v any) error {
 	if err := json.NewDecoder(r).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return errf(http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte cap", tooBig.Limit)
+		}
 		return errf(http.StatusBadRequest, "decoding request: %v", err)
 	}
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, v any) error {
+func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	return json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the unified error envelope with retryability derived
-// from the status. All non-2xx responses leave through here (or through
-// the exported WriteError it delegates to — the errboundary analyzer
-// enforces that).
-func writeError(w http.ResponseWriter, code int, errCode ErrorCode, msg string) {
-	WriteError(w, code, ErrorBody{Code: errCode, Message: msg, Retryable: retryableStatus(code)})
-}
-
-func bodyHash(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
-}
-
-// EndpointNames lists the registered metric names, sorted — handy for
-// stable /statsz rendering in tests and tooling.
-func (s *Server) EndpointNames() []string {
-	names := make([]string, 0, len(s.metrics))
-	for name := range s.metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -7,10 +7,13 @@
 //
 //   - typed request/response structs (this file) shared by client and
 //     server, so the wire contract lives in one place;
-//   - Server, a production-shaped HTTP front end with bounded in-flight
-//     concurrency (429 shedding), singleflight coalescing plus a small LRU
-//     for hot recommend/PDF queries, request/latency/cache counters on
-//     /statsz, and graceful shutdown;
+//   - Server, the one HTTP front end of both dmsd and dmsrouter: the /v1
+//     surface over a Backend behind one middleware stack (body cap, 429
+//     admission shedding, tracing, per-endpoint metrics, SLOs, slow and
+//     tail trace rings, the error envelope) plus /statsz, /metricsz and
+//     graceful shutdown. With no Backend it serves this process's data
+//     service and zoo, adding a singleflight-coalescing LRU for hot
+//     recommend/PDF queries and the training subsystem;
 //   - Client, a typed Go client with connection reuse and
 //     retry-on-connection-error.
 //
@@ -366,9 +369,12 @@ type HealthResponse struct {
 	Samples int    `json:"samples"` // labeled samples in the data store
 }
 
-// Stats is the body of GET /statsz: a point-in-time snapshot of server
-// counters. The full schema is documented in docs/ARCHITECTURE.md; the
-// same counters are exported in Prometheus text form at /metricsz.
+// Stats is the body of GET /statsz on both tiers: a point-in-time
+// snapshot of server counters. The full schema is documented in
+// docs/ARCHITECTURE.md; the same counters are exported in Prometheus text
+// form at /metricsz. Cache, Index, Train and Wal describe an in-process
+// backend (dmsd) and stay zero behind a router; Cluster and SLO are the
+// router's.
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// GoVersion/Version/Revision identify the running build (from
@@ -391,6 +397,34 @@ type Stats struct {
 	// (ServerConfig.WalStats hook installed).
 	Wal       *WalStats                `json:"wal,omitempty"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
+	// Cluster is present when the server fronts a shard fleet (a Fleet
+	// backend): per-node health and the membership epoch.
+	Cluster *ClusterStats `json:"cluster,omitempty"`
+	// SLO is present when objectives are configured (ServerConfig.SLOs).
+	SLO []obs.SLOStatus `json:"slo,omitempty"`
+}
+
+// ClusterStats is the cluster-membership block of a router's /statsz:
+// per-node health, the membership epoch, and the routing tier's own
+// serving counters.
+type ClusterStats struct {
+	Epoch             int64        `json:"epoch"`
+	Shards            int          `json:"shards"`
+	HealthyShards     int          `json:"healthy_shards"`
+	UnhealthyShards   int          `json:"unhealthy_shards"`
+	Fitted            bool         `json:"fitted"`
+	DegradedResponses int64        `json:"degraded_responses"`
+	Reroutes          int64        `json:"reroutes"`
+	Nodes             []NodeStatus `json:"nodes"`
+}
+
+// NodeStatus is one shard's health view in ClusterStats.
+type NodeStatus struct {
+	Addr             string `json:"addr"`
+	Healthy          bool   `json:"healthy"`
+	ConsecutiveFails int    `json:"consecutive_fails"`
+	Ejections        int64  `json:"ejections"`
+	LastError        string `json:"last_error,omitempty"`
 }
 
 // WalStats reports the durability plane of a WAL-backed document store:
@@ -465,4 +499,12 @@ type SlowzResponse struct {
 	ThresholdMS float64         `json:"threshold_ms"`
 	Total       int64           `json:"total"` // requests over threshold since start
 	Entries     []obs.SlowEntry `json:"entries"`
+}
+
+// TracezResponse is the body of GET /debug/tracez: the tail-retained span
+// trees (errored, degraded, or slow requests), newest first. 404 when the
+// server runs without a trace ring.
+type TracezResponse struct {
+	Total  int64            `json:"total_retained"`
+	Traces []obs.TraceEntry `json:"traces"`
 }

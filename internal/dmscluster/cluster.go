@@ -46,6 +46,9 @@ type Config struct {
 	Backoff time.Duration
 	// Timeout bounds each per-shard HTTP exchange (default 30s).
 	Timeout time.Duration
+	// ScrapeTimeout bounds the per-request fleet metrics scrape behind
+	// the router's federated /metricsz (default 2s).
+	ScrapeTimeout time.Duration
 	// Logger receives membership transitions and reroutes as leveled
 	// key=value events; nil silences.
 	Logger *obs.Logger
@@ -73,6 +76,9 @@ func (c *Config) defaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
+	if c.ScrapeTimeout <= 0 {
+		c.ScrapeTimeout = 2 * time.Second
+	}
 }
 
 // node is one shard's client plus health state.
@@ -90,9 +96,10 @@ type node struct {
 
 // Cluster is the smart cluster client: the routing tier as an embeddable
 // Go API. It consistent-hashes ingest across shards, scatters queries
-// and merges results, and replicates model writes. Safe for concurrent
-// use. Construct with New, call Start to begin active health probing,
-// Close to stop.
+// and merges results, and replicates model writes. It is a dmsapi.Backend
+// (and dmsapi.Fleet), so dmsapi.NewServer over a Cluster is the
+// standalone router (cmd/dmsrouter). Safe for concurrent use. Construct
+// with New, call Start to begin active health probing, Close to stop.
 type Cluster struct {
 	cfg   Config
 	ring  *Ring
@@ -254,38 +261,15 @@ func (c *Cluster) healthyNodes() []*node {
 	return out
 }
 
-// NodeStatus is one shard's health view in ClusterStats.
-type NodeStatus struct {
-	Addr             string `json:"addr"`
-	Healthy          bool   `json:"healthy"`
-	ConsecutiveFails int    `json:"consecutive_fails"`
-	Ejections        int64  `json:"ejections"`
-	LastError        string `json:"last_error,omitempty"`
-}
-
-// ClusterStats is the cluster-membership block of the router's /statsz:
-// per-node health, the membership epoch, and the routing tier's own
-// serving counters.
-type ClusterStats struct {
-	Epoch             int64        `json:"epoch"`
-	Shards            int          `json:"shards"`
-	HealthyShards     int          `json:"healthy_shards"`
-	UnhealthyShards   int          `json:"unhealthy_shards"`
-	Fitted            bool         `json:"fitted"`
-	DegradedResponses int64        `json:"degraded_responses"`
-	Reroutes          int64        `json:"reroutes"`
-	Nodes             []NodeStatus `json:"nodes"`
-}
-
 // Stats snapshots the cluster's membership and serving counters.
-func (c *Cluster) Stats() ClusterStats {
-	st := ClusterStats{
+func (c *Cluster) Stats() dmsapi.ClusterStats {
+	st := dmsapi.ClusterStats{
 		Epoch:             c.epoch.Load(),
 		Shards:            len(c.nodes),
 		Fitted:            c.fitted.Load(),
 		DegradedResponses: c.degraded.Load(),
 		Reroutes:          c.reroutes.Load(),
-		Nodes:             make([]NodeStatus, len(c.nodes)),
+		Nodes:             make([]dmsapi.NodeStatus, len(c.nodes)),
 	}
 	for i, n := range c.nodes {
 		n.mu.Lock()
@@ -297,7 +281,7 @@ func (c *Cluster) Stats() ClusterStats {
 		} else {
 			st.UnhealthyShards++
 		}
-		st.Nodes[i] = NodeStatus{
+		st.Nodes[i] = dmsapi.NodeStatus{
 			Addr:             n.addr,
 			Healthy:          healthy,
 			ConsecutiveFails: int(n.fails.Load()),

@@ -102,6 +102,27 @@ func startCluster(t *testing.T, n int, cfg dmscluster.Config) (*dmscluster.Clust
 	return c, servers
 }
 
+// startRouter serves the cluster's /v1 surface through dmsapi.Server —
+// the standalone router cmd/dmsrouter runs — and returns its address.
+func startRouter(t *testing.T, c *dmscluster.Cluster, cfg dmsapi.ServerConfig) string {
+	t.Helper()
+	cfg.Backend = c
+	srv, err := dmsapi.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		srv.Shutdown(sctx)
+	})
+	return addr
+}
+
 // braggCorpus generates n labeled samples mixing two regimes.
 func braggCorpus(seed int64, n int) []*codec.Sample {
 	rng := rand.New(rand.NewSource(seed))
@@ -497,16 +518,7 @@ func TestClusterTrainRouting(t *testing.T) {
 func TestRouterFourTierTrace(t *testing.T) {
 	ctx := context.Background()
 	cluster, _ := startCluster(t, 2, dmscluster.Config{BootstrapK: 3, Seed: 1, ProbeInterval: -1})
-	router := dmscluster.NewRouter(cluster, dmscluster.RouterConfig{})
-	addr, err := router.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		router.Shutdown(sctx)
-	})
+	addr := startRouter(t, cluster, dmsapi.ServerConfig{})
 
 	var mu sync.Mutex
 	var dumps []obs.TraceDump
@@ -616,16 +628,7 @@ func TestClusterChaos(t *testing.T) {
 		Backoff:       5 * time.Millisecond,
 	})
 	cluster.Start()
-	router := dmscluster.NewRouter(cluster, dmscluster.RouterConfig{})
-	addr, err := router.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		router.Shutdown(sctx)
-	})
+	addr := startRouter(t, cluster, dmsapi.ServerConfig{})
 
 	seedClient, err := dmsapi.NewClient(addr)
 	if err != nil {
@@ -694,7 +697,7 @@ func TestClusterChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("router /statsz after chaos: %v", err)
 	}
-	var st dmscluster.RouterStats
+	var st dmsapi.Stats
 	if err := json.Unmarshal(resp, &st); err != nil {
 		t.Fatalf("decoding router stats: %v", err)
 	}

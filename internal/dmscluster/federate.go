@@ -3,7 +3,6 @@ package dmscluster
 import (
 	"context"
 	"sync"
-	"time"
 
 	"fairdms/internal/dmsapi"
 	"fairdms/internal/obs"
@@ -14,22 +13,40 @@ import (
 // set live, so an ejected shard's series age out of the merged exposition
 // the moment health probing drops it — no TTL bookkeeping.
 
-// defaultScrapeTimeout bounds one fleet scrape; a shard slower than this
-// is simply absent from that scrape (and the transport failure counts
-// against its health like any serving call).
-const defaultScrapeTimeout = 2 * time.Second
+var (
+	_ dmsapi.Backend = (*Cluster)(nil)
+	_ dmsapi.Fleet   = (*Cluster)(nil)
+)
+
+// RegisterMetrics registers the routing tier's membership and serving
+// families on the router's registry (dmsapi.Fleet).
+func (c *Cluster) RegisterMetrics(r *obs.Registry) {
+	r.GaugeFunc("dms_router_shards", "configured shard count",
+		func() float64 { return float64(len(c.nodes)) })
+	r.GaugeFunc("dms_router_healthy_shards", "shards currently admitted by health probing",
+		func() float64 { return float64(len(c.healthyNodes())) })
+	r.CounterFunc("dms_router_membership_epoch", "membership health transitions since start", c.epoch.Load)
+	r.CounterFunc("dms_router_degraded_responses_total", "responses merged without every shard", c.degraded.Load)
+	r.CounterFunc("dms_router_reroutes_total", "ingest sub-batches rerouted off their hash owner", c.reroutes.Load)
+}
+
+// FleetMetrics renders the federated fleet exposition the router appends
+// to its own /metricsz (dmsapi.Fleet): every healthy shard's families
+// relabeled with node=<addr>, then the dms_fleet_* aggregates.
+func (c *Cluster) FleetMetrics(ctx context.Context) []byte {
+	return obs.RenderExposition(obs.Federate(c.ScrapeFleet(ctx)))
+}
 
 // ScrapeFleet fetches and parses every healthy shard's /metricsz
-// concurrently, returning one NodeExposition per shard that answered
-// with a parseable exposition. The node identity is the shard address —
-// the one name the routing tier knows shards by. Transport failures are
-// charged against shard health; parse failures are not (the shard
-// answered; its exposition is just unusable this scrape).
-func (c *Cluster) ScrapeFleet(ctx context.Context, timeout time.Duration) []obs.NodeExposition {
-	if timeout <= 0 {
-		timeout = defaultScrapeTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+// concurrently within Config.ScrapeTimeout, returning one NodeExposition
+// per shard that answered with a parseable exposition (a shard slower
+// than the timeout is simply absent from that scrape). The node identity
+// is the shard address — the one name the routing tier knows shards by.
+// Transport failures are charged against shard health; parse failures
+// are not (the shard answered; its exposition is just unusable this
+// scrape).
+func (c *Cluster) ScrapeFleet(ctx context.Context) []obs.NodeExposition {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ScrapeTimeout)
 	defer cancel()
 
 	nodes := c.healthyNodes()

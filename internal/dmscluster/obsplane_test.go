@@ -54,18 +54,9 @@ func TestRouterObservabilityPlane(t *testing.T) {
 	cluster, servers := startCluster(t, 3, dmscluster.Config{
 		BootstrapK: 4, Seed: 1, ProbeInterval: -1, FailAfter: 1,
 	})
-	router := dmscluster.NewRouter(cluster, dmscluster.RouterConfig{
+	addr := startRouter(t, cluster, dmsapi.ServerConfig{
 		SLOs:      slos,
 		TraceRing: 64,
-	})
-	addr, err := router.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		router.Shutdown(sctx)
 	})
 	client, err := dmsapi.NewClient(addr)
 	if err != nil {
@@ -194,7 +185,7 @@ func TestRouterObservabilityPlane(t *testing.T) {
 
 	// SLO burn: one error among the certainty requests blows the 1%
 	// budget, so the fast burn must exceed 1 and flag breaching.
-	var stats dmscluster.RouterStats
+	var stats dmsapi.Stats
 	code, body = httpGet(t, addr, dmsapi.PathStats)
 	if code != http.StatusOK {
 		t.Fatalf("GET /statsz: status %d", code)

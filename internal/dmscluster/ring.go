@@ -5,9 +5,9 @@
 // model zoo replicates to every node so recommend/checkpoint/train stay
 // local to whichever shard serves them — the split the FAIR-model
 // companion work assumes (small read-heavy registry everywhere, data
-// partitioned). Cluster is the embeddable smart client; Router serves
-// the same dmsapi /v1 surface over HTTP for non-Go callers
-// (cmd/dmsrouter).
+// partitioned). Cluster is the embeddable smart client and a
+// dmsapi.Backend: dmsapi.NewServer over it serves the same /v1 surface
+// over HTTP for non-Go callers (cmd/dmsrouter).
 //
 // Membership is static with active health probing: a dead shard is
 // ejected after consecutive failures, ingest routes around it to the

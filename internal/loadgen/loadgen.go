@@ -93,8 +93,7 @@ type Config struct {
 	TraceKeep int
 	// Cluster marks Addr as a dmsrouter rather than a single dmsd. The
 	// /v1 surface is identical, so the workload runs unchanged; only the
-	// /statsz before/after delta is skipped (the router's stats schema is
-	// cluster-shaped, not dmsapi.Stats), leaving Report.Server nil.
+	// /statsz before/after delta is skipped, leaving Report.Server nil.
 	Cluster bool
 	// Logf, when set, receives progress lines (e.g. log.Printf).
 	Logf func(format string, args ...any)
@@ -287,12 +286,11 @@ func Run(cfg Config) (*Report, error) {
 		logf = func(string, ...any) {}
 	}
 	traces := &traceCollector{keep: cfg.TraceKeep}
-	ccfg := dmsapi.ClientConfig{}
+	var opts []dmsapi.Option
 	if cfg.TraceSample > 0 {
-		ccfg.TraceSample = cfg.TraceSample
-		ccfg.OnTrace = traces.add
+		opts = append(opts, dmsapi.WithTraceSample(cfg.TraceSample, traces.add))
 	}
-	client, err := dmsapi.DialConfig(cfg.Addr, ccfg)
+	client, err := dmsapi.NewClient(cfg.Addr, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: dialing %s: %w", cfg.Addr, err)
 	}
