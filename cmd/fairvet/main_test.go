@@ -28,8 +28,6 @@ func TestFixtureModule(t *testing.T) {
 	}
 }
 
-// TestCleanModule also pins module-boundary pruning: the fixture holds a
-// nested module with a violation that "./..." must not reach.
 func TestCleanModule(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-dir", "testdata/cleanmod", "./..."}, &out, &errb); code != 0 {

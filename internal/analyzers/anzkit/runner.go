@@ -11,9 +11,8 @@ import (
 // ExpandPatterns resolves package patterns to import paths under the
 // loader's module. Supported forms: "./..." and "./dir/..." (recursive),
 // "./dir" (single directory), and plain import paths, mirroring the go
-// command's spelling. Directories named testdata or vendor, hidden
-// directories, and nested modules (a subdirectory with its own go.mod)
-// are skipped — the same pruning go build applies.
+// command's spelling. Directories named testdata or vendor, and hidden
+// directories, are skipped — the same pruning go build applies.
 func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 	if l.ModuleRoot == "" {
 		return nil, fmt.Errorf("anzkit: pattern expansion needs a module root")
@@ -45,9 +44,6 @@ func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 				name := d.Name()
 				if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 					return filepath.SkipDir
-				}
-				if p != root && fileExists(filepath.Join(p, "go.mod")) {
-					return filepath.SkipDir // a nested module: "./..." stops at module boundaries
 				}
 				if !hasGoFiles(p) {
 					return nil
@@ -81,11 +77,6 @@ func importPathFor(modulePath, relDir string) string {
 		return modulePath
 	}
 	return modulePath + "/" + rel
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // hasGoFiles reports whether dir directly contains at least one non-test

@@ -3,11 +3,7 @@ package dmsapi
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
-	"hash"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -138,52 +134,3 @@ func (c *cache) stats() CacheStats {
 		Evictions: c.evictions.Load(),
 	}
 }
-
-// fingerprint builds a cache key from a decoded request: a SHA-256 over
-// the kind, the cache generation and the request's fields in binary form
-// (every length prefixed, so field boundaries cannot alias). Hashing the
-// fields directly is far cheaper than re-encoding the request.
-type fingerprint struct {
-	h   hash.Hash
-	buf []byte
-}
-
-func newFingerprint(kind string, gen uint64) *fingerprint {
-	f := &fingerprint{h: sha256.New()}
-	f.bytes([]byte(kind))
-	f.uint(gen)
-	return f
-}
-
-func (f *fingerprint) uint(v uint64) {
-	f.buf = binary.LittleEndian.AppendUint64(f.buf[:0], v)
-	f.h.Write(f.buf)
-}
-
-func (f *fingerprint) bytes(b []byte) {
-	f.uint(uint64(len(b)))
-	f.h.Write(b)
-}
-
-func (f *fingerprint) floats(vs []float64) {
-	f.buf = binary.LittleEndian.AppendUint64(f.buf[:0], uint64(len(vs)))
-	for _, v := range vs {
-		f.buf = binary.LittleEndian.AppendUint64(f.buf, math.Float64bits(v))
-	}
-	f.h.Write(f.buf)
-}
-
-func (f *fingerprint) samples(ss []Sample) {
-	f.uint(uint64(len(ss)))
-	for _, s := range ss {
-		f.uint(uint64(len(s.Shape)))
-		for _, d := range s.Shape {
-			f.uint(uint64(d))
-		}
-		f.uint(uint64(s.Dtype))
-		f.bytes(s.Data)
-		f.floats(s.Label)
-	}
-}
-
-func (f *fingerprint) key() string { return string(f.h.Sum(nil)) }

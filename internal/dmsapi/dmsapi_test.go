@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,6 +341,86 @@ func TestMalformedJSONIsBadRequest(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d", resp.StatusCode)
+	}
+}
+
+// TestIngestIsAtomicOnStoreFailure: the non-batch ingest commits a
+// multi-chunk request as one store write, so a store failure commits
+// nothing and answers as a server fault (5xx), not as the caller's.
+func TestIngestIsAtomicOnStoreFailure(t *testing.T) {
+	store := &failingStore{DataStore: docstore.NewStore().Collection("peaks")}
+	ds, err := fairds.New(idEmbedder{dim: 6}, store, fairds.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, client := startServer(t, ServerConfig{DS: ds})
+	a, b := twoRegimes(3, 300) // 600 documents: more than one batch-path chunk
+	if _, err := client.Ingest("seed", a[:20]); err != nil {
+		t.Fatal(err)
+	}
+
+	store.failNext.Store(true)
+	_, err = client.Ingest("x", append(a, b...))
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError || se.ErrCode != CodeInternal {
+		t.Fatalf("ingest over a failing store: want 500 internal, got %v", err)
+	}
+	h, err := client.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Samples != 20 {
+		t.Fatalf("store holds %d samples after a failed ingest, want the 20 seeded (nothing committed)", h.Samples)
+	}
+
+	all := append(a, b...)
+	ids, err := client.Ingest("x", all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.Lookup(all[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != len(all) || len(got) != 3 {
+		t.Fatalf("ingest returned %d ids for %d samples; lookup %d", len(ids), len(all), len(got))
+	}
+}
+
+// failingStore fails the next InsertMany once failNext is set, so a
+// request split into several store writes would commit all but one.
+type failingStore struct {
+	fairds.DataStore
+	failNext atomic.Bool
+}
+
+func (f *failingStore) InsertMany(fs []docstore.Fields) ([]string, error) {
+	if f.failNext.CompareAndSwap(true, false) {
+		return nil, errors.New("injected store failure")
+	}
+	return f.DataStore.InsertMany(fs)
+}
+
+// TestNewServerRejectsLocalFieldsOverBackend: the in-process backend's
+// settings have no effect over a Backend, so setting one is an error.
+func TestNewServerRejectsLocalFieldsOverBackend(t *testing.T) {
+	var b struct{ Backend }
+	for name, cfg := range map[string]ServerConfig{
+		"DS":           {DS: newDataService(t)},
+		"Zoo":          {Zoo: fairms.NewZoo()},
+		"CacheSize":    {CacheSize: 8},
+		"BootstrapK":   {BootstrapK: 4},
+		"TrainWorkers": {TrainWorkers: 1},
+		"TrainQueue":   {TrainQueue: 1},
+		"WalStats":     {WalStats: func() WalStats { return WalStats{} }},
+	} {
+		cfg.Backend = b
+		if _, err := NewServer(cfg); err == nil {
+			t.Errorf("%s over a Backend: NewServer accepted it", name)
+		}
+	}
+	if _, err := NewServer(ServerConfig{Backend: b, MaxInFlight: 4, SlowThreshold: time.Second}); err != nil {
+		t.Fatalf("frontend-only config over a Backend: %v", err)
 	}
 }
 

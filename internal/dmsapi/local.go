@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -291,6 +290,22 @@ func (l *local) Ingest(ctx context.Context, req IngestBatchRequest) (IngestBatch
 	return resp, nil
 }
 
+// ingestAll is dmsd's all-or-nothing single-request ingest: the validated
+// samples bootstrap the clustering model if needed and commit as one store
+// write with IDs in input order, so a failed write commits nothing.
+func (l *local) ingestAll(ctx context.Context, samples []*codec.Sample, dataset string) ([]string, error) {
+	if err := l.ensureClusters(samples); err != nil {
+		return nil, err
+	}
+	l.dsMu.RLock()
+	ids, err := l.ds.IngestLabeledContext(ctx, samples, dataset)
+	l.dsMu.RUnlock()
+	if err != nil {
+		return nil, serviceError(err)
+	}
+	return ids, nil
+}
+
 // ensureClusters performs the bootstrap fit: a daemon that started with an
 // empty store fits its clustering module on the first ingested batch.
 func (l *local) ensureClusters(samples []*codec.Sample) error {
@@ -385,30 +400,24 @@ func (l *local) Nearest(ctx context.Context, req NearestRequest) (NearestRespons
 	return NearestResponse{Matches: out}, nil
 }
 
+// PDF is memoized by the server (see memoized): a cluster refit bumps
+// clusterGen and so invalidates its cached results.
 func (l *local) PDF(ctx context.Context, req PDFRequest) (PDFResponse, error) {
-	f := newFingerprint("pdf", l.clusterGen.Load())
-	f.samples(req.Samples)
-	v, err := l.cache.do(ctx, f.key(), func(ctx context.Context) (any, error) {
-		samples, err := decodeSamples(req.Samples)
-		if err != nil {
-			return nil, err
-		}
-		x, err := fairds.Collate(samples)
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "pdf: %v", err)
-		}
-		l.dsMu.RLock()
-		pdf, err := l.ds.DatasetPDFContext(ctx, x)
-		l.dsMu.RUnlock()
-		if err != nil {
-			return nil, serviceError(err)
-		}
-		return PDFResponse{PDF: pdf, K: len(pdf)}, nil
-	})
+	samples, err := decodeSamples(req.Samples)
 	if err != nil {
 		return PDFResponse{}, err
 	}
-	return v.(PDFResponse), nil
+	x, err := fairds.Collate(samples)
+	if err != nil {
+		return PDFResponse{}, errf(http.StatusBadRequest, "pdf: %v", err)
+	}
+	l.dsMu.RLock()
+	pdf, err := l.ds.DatasetPDFContext(ctx, x)
+	l.dsMu.RUnlock()
+	if err != nil {
+		return PDFResponse{}, serviceError(err)
+	}
+	return PDFResponse{PDF: pdf, K: len(pdf)}, nil
 }
 
 // Fit explicitly fits the clustering model — the cluster router's
@@ -515,30 +524,23 @@ func (l *local) Models(ctx context.Context) (ModelsResponse, error) {
 	return ModelsResponse{Models: models}, nil
 }
 
+// Recommend is memoized by the server (see memoized): a model landing in
+// the zoo bumps zooGen and so invalidates its cached results.
 func (l *local) Recommend(ctx context.Context, req RecommendRequest) (RecommendResponse, error) {
-	f := newFingerprint("rec", l.zooGen.Load())
-	f.floats(req.PDF)
-	f.uint(math.Float64bits(req.MaxJSD))
-	v, err := l.cache.do(ctx, f.key(), func(ctx context.Context) (any, error) {
-		_, sp := obs.StartSpan(ctx, "zoo_rank")
-		ranked, err := l.zoo.Rank(req.PDF)
-		sp.End()
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
-		}
-		if len(ranked) == 0 {
-			return RecommendResponse{OK: false}, nil
-		}
-		best := ranked[0]
-		if req.MaxJSD > 0 && best.JSD > req.MaxJSD {
-			return RecommendResponse{JSD: best.JSD, OK: false}, nil
-		}
-		return RecommendResponse{ID: best.Record.ID, JSD: best.JSD, OK: true}, nil
-	})
+	_, sp := obs.StartSpan(ctx, "zoo_rank")
+	ranked, err := l.zoo.Rank(req.PDF)
+	sp.End()
 	if err != nil {
-		return RecommendResponse{}, err
+		return RecommendResponse{}, errf(http.StatusBadRequest, "%v", err)
 	}
-	return v.(RecommendResponse), nil
+	if len(ranked) == 0 {
+		return RecommendResponse{OK: false}, nil
+	}
+	best := ranked[0]
+	if req.MaxJSD > 0 && best.JSD > req.MaxJSD {
+		return RecommendResponse{JSD: best.JSD, OK: false}, nil
+	}
+	return RecommendResponse{ID: best.Record.ID, JSD: best.JSD, OK: true}, nil
 }
 
 func (l *local) Checkpoint(ctx context.Context, id string) ([]byte, error) {

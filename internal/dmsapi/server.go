@@ -2,6 +2,7 @@ package dmsapi
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"io"
@@ -31,7 +32,8 @@ const (
 )
 
 // ServerConfig wires a Server to its backend and tunes its behavior.
-// Fields marked "in-process only" apply when Backend is nil.
+// Fields marked "in-process only" configure the in-process backend; a
+// server over a Backend rejects them.
 type ServerConfig struct {
 	// Backend serves the /v1 surface from outside this process — the
 	// cluster router passes its dmscluster.Cluster. Nil serves DS and Zoo
@@ -70,7 +72,8 @@ type ServerConfig struct {
 	// disables training (the /v1/train routes answer 404).
 	TrainWorkers int
 	// TrainQueue bounds jobs waiting for a training worker; submissions
-	// past it are shed with 429. Zero means trainer.DefaultQueue.
+	// past it are shed with 429 (in-process only). Zero means
+	// trainer.DefaultQueue.
 	TrainQueue int
 	// WalStats, when non-nil, surfaces the durability counters of a
 	// WAL-backed document store on /statsz (the "wal" key) and /metricsz
@@ -178,8 +181,10 @@ type handler func(w http.ResponseWriter, r *http.Request) error
 // NewServer validates the config and builds the routing table; call Listen
 // to start serving.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Backend != nil && (cfg.DS != nil || cfg.Zoo != nil) {
-		return nil, errors.New("dmsapi: a server serves either a Backend or an in-process DS and Zoo, not both")
+	if cfg.Backend != nil && (cfg.DS != nil || cfg.Zoo != nil || cfg.CacheSize != 0 || cfg.BootstrapK != 0 ||
+		cfg.TrainWorkers != 0 || cfg.TrainQueue != 0 || cfg.WalStats != nil) {
+		return nil, errors.New("dmsapi: DS, Zoo, CacheSize, BootstrapK, TrainWorkers, TrainQueue and WalStats " +
+			"configure the in-process backend; a server over a Backend takes none of them")
 	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = defaultMaxInFlight
@@ -234,7 +239,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.route("POST "+PathCertainty, "data.certainty", admitted, withBody(http.StatusOK, s.b.Certainty))
 	s.route("POST "+PathLookup, "data.lookup", admitted, withBody(http.StatusOK, s.b.Lookup))
 	s.route("POST "+PathNearest, "data.nearest", admitted, withBody(http.StatusOK, s.b.Nearest))
-	s.route("POST "+PathPDF, "data.pdf", admitted, withBody(http.StatusOK, s.b.PDF))
+	pdf, recommend := withBody(http.StatusOK, s.b.PDF), withBody(http.StatusOK, s.b.Recommend)
+	if s.local != nil {
+		// dmsd memoizes PDF and recommend results in its coalescing cache.
+		pdf = memoized(s.local.cache, "pdf", &s.local.clusterGen, s.local.PDF)
+		recommend = memoized(s.local.cache, "rec", &s.local.zooGen, s.local.Recommend)
+	}
+	s.route("POST "+PathPDF, "data.pdf", admitted, pdf)
 	if s.local != nil {
 		// Shard-internal calls the router's bootstrap and lookup merge are
 		// built on; a router does not re-export them.
@@ -244,7 +255,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.route("POST "+PathModels, "models.add", admitted, withBody(http.StatusOK, s.b.AddModel))
 	s.route("GET "+PathModels, "models.list", admitted, noBody(s.b.Models))
-	s.route("POST "+PathRecommend, "models.recommend", admitted, withBody(http.StatusOK, s.b.Recommend))
+	s.route("POST "+PathRecommend, "models.recommend", admitted, recommend)
 	s.route("GET "+PathCheckpoint, "models.checkpoint", admitted, s.handleCheckpoint)
 	// Train submissions are not shed by the global admission gate: the
 	// trainer's own bounded queue is the backpressure (429 on saturation),
@@ -441,6 +452,32 @@ func withBody[Req, Resp any](status int, call func(context.Context, Req) (Resp, 
 	}
 }
 
+// memoized adapts an in-process Backend method whose results the cache
+// memoizes. The key hashes the raw request body under the current
+// generation of gen, so a hit answers without decoding the request; a miss
+// decodes and calls inside the coalesced compute.
+func memoized[Req, Resp any](c *cache, kind string, gen *atomic.Uint64, call func(context.Context, Req) (Resp, error)) handler {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return bodyError(err)
+		}
+		sum := sha256.Sum256(body)
+		key := kind + ":" + strconv.FormatUint(gen.Load(), 10) + ":" + string(sum[:])
+		v, err := c.do(r.Context(), key, func(ctx context.Context) (any, error) {
+			var req Req
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil, bodyError(err)
+			}
+			return call(ctx, req)
+		})
+		if err != nil {
+			return err
+		}
+		return writeJSON(w, http.StatusOK, v)
+	}
+}
+
 // noBody adapts a Backend method that takes no request.
 func noBody[Resp any](call func(context.Context) (Resp, error)) handler {
 	return func(w http.ResponseWriter, r *http.Request) error {
@@ -570,10 +607,12 @@ func (s *Server) Stats() Stats {
 // ---------------------------------------------------------------------------
 // Handlers with more than a decode → call → encode body
 
-// handleIngest serves the all-or-nothing single-request ingest over the
-// backend's batch Ingest: every sample is validated up front (one shape
-// width per request, as the non-batch endpoint always required) so a bad
-// one rejects the request before anything commits.
+// handleIngest serves the all-or-nothing single-request ingest. Every
+// sample is validated up front (one shape width per request, as the
+// non-batch endpoint always required), so a bad one rejects the request
+// before anything commits and any failure left after that is a server
+// fault. dmsd commits the request as one store write with IDs in input
+// order; a router scatters it over the shards' batch path.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	var req IngestRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
@@ -589,12 +628,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 				i+1, smp.Elems(), samples[0].Elems())
 		}
 	}
+	if s.local != nil {
+		ids, err := s.local.ingestAll(r.Context(), samples, req.Dataset)
+		if err != nil {
+			return err
+		}
+		return writeJSON(w, http.StatusOK, IngestResponse{IDs: ids})
+	}
 	resp, err := s.b.Ingest(r.Context(), IngestBatchRequest{Dataset: req.Dataset, Samples: req.Samples})
 	if err != nil {
 		return err
 	}
 	if len(resp.Errors) > 0 {
-		return errf(http.StatusBadRequest, "ingest: sample %d: %s", resp.Errors[0].Index, resp.Errors[0].Error)
+		return errf(http.StatusInternalServerError, "ingest: sample %d: %s", resp.Errors[0].Index, resp.Errors[0].Error)
 	}
 	return writeJSON(w, http.StatusOK, IngestResponse{IDs: resp.IDs})
 }
@@ -729,17 +775,22 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
 // durMS converts a duration to fractional milliseconds for wire stats.
 func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// decodeJSON decodes a request body; a body over the MaxBodyBytes cap is
-// 413, anything else undecodable 400.
+// decodeJSON decodes a request body (see bodyError for the failures).
 func decodeJSON(r io.Reader, v any) error {
 	if err := json.NewDecoder(r).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return errf(http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte cap", tooBig.Limit)
-		}
-		return errf(http.StatusBadRequest, "decoding request: %v", err)
+		return bodyError(err)
 	}
 	return nil
+}
+
+// bodyError maps a failure to read or decode a request body: a body over
+// the MaxBodyBytes cap is 413, anything else undecodable 400.
+func bodyError(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return errf(http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte cap", tooBig.Limit)
+	}
+	return errf(http.StatusBadRequest, "decoding request: %v", err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) error {
