@@ -148,22 +148,43 @@ func scanNearest(vecs []float64, ids []string, dim int, q []float64, exclude fun
 }
 
 // scanRange is the sequential inner loop of scanNearest over slots
-// [lo, hi).
+// [lo, hi). Without an exclusion filter it measures two slots per pass:
+// their distance sums are independent dependency chains the CPU overlaps,
+// and each still adds its terms in dimension order, so every distance is
+// bit-for-bit what a one-slot loop computes.
 func scanRange(vecs []float64, ids []string, dim int, q []float64, exclude func(string) bool, lo, hi int) (int, float64) {
 	bestSlot, bestD2 := -1, 0.0
-	for i := lo; i < hi; i++ {
+	consider := func(i int, d2 float64) {
+		if bestSlot < 0 || d2 < bestD2 {
+			bestSlot, bestD2 = i, d2
+		}
+	}
+	i := lo
+	if exclude == nil {
+		for ; i+1 < hi; i += 2 {
+			a := vecs[i*dim : (i+1)*dim][:len(q)]
+			b := vecs[(i+1)*dim : (i+2)*dim][:len(q)]
+			da, db := 0.0, 0.0
+			for j, x := range q {
+				d, e := x-a[j], x-b[j]
+				da += d * d
+				db += e * e
+			}
+			consider(i, da)
+			consider(i+1, db)
+		}
+	}
+	for ; i < hi; i++ {
 		if exclude != nil && exclude(ids[i]) {
 			continue
 		}
-		v := vecs[i*dim : (i+1)*dim]
+		v := vecs[i*dim : (i+1)*dim][:len(q)]
 		d2 := 0.0
 		for j, x := range q {
 			d := x - v[j]
 			d2 += d * d
 		}
-		if bestSlot < 0 || d2 < bestD2 {
-			bestSlot, bestD2 = i, d2
-		}
+		consider(i, d2)
 	}
 	return bestSlot, bestD2
 }

@@ -78,6 +78,64 @@ func TestParityWithBruteForce(t *testing.T) {
 	}
 }
 
+// TestScanRangeBitExact: the two-slot scan returns the slot and the
+// bit-exact squared distance of a plain one-slot loop — odd and even
+// ranges, with and without an exclusion filter, and duplicate vectors
+// whose ties must keep the lowest slot.
+func TestScanRangeBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const dim = 7
+	n := 301
+	vecs := make([]float64, n*dim)
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("doc-%d", i)
+		for j := 0; j < dim; j++ {
+			vecs[i*dim+j] = rng.NormFloat64()
+		}
+	}
+	copy(vecs[200*dim:201*dim], vecs[100*dim:101*dim]) // a tie, slot 100 must win
+	oneSlot := func(q []float64, exclude func(string) bool, lo, hi int) (int, float64) {
+		best, bestD2 := -1, 0.0
+		for i := lo; i < hi; i++ {
+			if exclude != nil && exclude(ids[i]) {
+				continue
+			}
+			d2 := 0.0
+			for j, x := range q {
+				d := x - vecs[i*dim+j]
+				d2 += d * d
+			}
+			if best < 0 || d2 < bestD2 {
+				best, bestD2 = i, d2
+			}
+		}
+		return best, bestD2
+	}
+	odd := func(id string) bool { return id[len(id)-1]%2 == 1 }
+	for qi := 0; qi < 100; qi++ {
+		q := make([]float64, dim)
+		for j := range q {
+			q[j] = rng.NormFloat64()
+		}
+		if qi == 0 {
+			copy(q, vecs[100*dim:101*dim])
+		}
+		lo, hi := rng.Intn(n/2), n/2+rng.Intn(n/2+1)
+		for _, exclude := range []func(string) bool{nil, odd} {
+			gotSlot, gotD2 := scanRange(vecs, ids, dim, q, exclude, lo, hi)
+			wantSlot, wantD2 := oneSlot(q, exclude, lo, hi)
+			if gotSlot != wantSlot || math.Float64bits(gotD2) != math.Float64bits(wantD2) {
+				t.Fatalf("query %d [%d,%d) exclude=%v: got (%d, %v), want (%d, %v)",
+					qi, lo, hi, exclude != nil, gotSlot, gotD2, wantSlot, wantD2)
+			}
+		}
+	}
+	if slot, _ := scanRange(vecs, ids, dim, vecs[100*dim:101*dim], nil, 0, n); slot != 100 {
+		t.Fatalf("tie between slots 100 and 200 went to %d, want 100", slot)
+	}
+}
+
 func TestExclusionDistinctDraws(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	entries := randEntries(rng, 600, 6, 1) // one cluster so draws exhaust it
