@@ -1,5 +1,6 @@
-// Command dmsbench load-tests a live dmsd daemon: a closed-loop worker
-// pool drives a weighted mix of the serving-path operations (batch ingest,
+// Command dmsbench load-tests a live dmsd daemon or dmsrouter (both
+// serve the same /v1 surface and /statsz): a closed-loop worker pool
+// drives a weighted mix of the serving-path operations (batch ingest,
 // certainty, nearest-label, recommend, and end-to-end server-side train
 // jobs), measures client-side latency histograms plus the server's /statsz
 // delta, prints a human summary, and writes the machine-readable
@@ -31,7 +32,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7718", "dmsd address to drive")
+	addr := flag.String("addr", "127.0.0.1:7718", "dmsd or dmsrouter address to drive")
 	workers := flag.Int("workers", 4, "closed-loop worker count")
 	duration := flag.Duration("duration", 5*time.Second, "measured phase length")
 	mixFlag := flag.String("mix", "ingest_batch:1,certainty:2,nearest:4,recommend:4",
@@ -43,7 +44,6 @@ func main() {
 	setupDocs := flag.Int("setup-docs", 256, "corpus documents seeded before measuring")
 	seed := flag.Int64("seed", 1, "determinism seed for samples and scheduling")
 	traceSample := flag.Int("trace-sample", 16, "trace every Nth request end to end, keeping the slowest span trees in the report (0 disables)")
-	cluster := flag.Bool("cluster", false, "treat -addr as a dmsrouter: same workload, skip the single-daemon /statsz delta")
 	out := flag.String("out", "BENCH_dmsapi.json", "report path (empty = don't write)")
 	failOnErrors := flag.Bool("fail-on-errors", false, "exit non-zero if any request failed")
 	sloCheck := flag.String("slo-check", "", "objectives to assert against the run, router -slo grammar (e.g. 'nearest:p99<50ms,err<1%'); breaches exit non-zero")
@@ -70,7 +70,6 @@ func main() {
 		TrainEpochs: *trainEpochs,
 		Seed:        *seed,
 		TraceSample: *traceSample,
-		Cluster:     *cluster,
 	}
 	if !*quiet {
 		cfg.Logf = log.Printf
@@ -89,13 +88,9 @@ func main() {
 			log.Printf("dmsbench: report written to %s", *out)
 		}
 	}
-	var serverErrors int64
-	if rep.Server != nil {
-		serverErrors = rep.Server.Errors
-	}
-	if *failOnErrors && (rep.TotalErrors > 0 || serverErrors > 0) {
+	if *failOnErrors && (rep.TotalErrors > 0 || rep.Server.Errors > 0) {
 		log.Printf("dmsbench: FAIL — %d client errors, %d server endpoint errors",
-			rep.TotalErrors, serverErrors)
+			rep.TotalErrors, rep.Server.Errors)
 		os.Exit(1)
 	}
 	if violations := loadgen.CheckSLOs(rep, slos); len(violations) > 0 {

@@ -40,6 +40,11 @@
 //	     [-slow-threshold 250ms] [-slow-log 64] [-pprof]
 //	     [-log-level info]
 //
+// Every request and train job that errors or takes at least
+// -slow-threshold keeps its span tree in one bounded ring (-slow-log
+// entries), served by /debug/tracez (filterable by op, duration, error)
+// and /debug/slowz (the slow entries, slowest first).
+//
 // -log-level debug additionally logs every failed request (server faults
 // log at warn regardless) and the trainer's job lifecycle.
 package main
@@ -144,8 +149,8 @@ func main() {
 	maxBatch := flag.Int("max-batch", 8192, "documents per ingest:batch request before 413 (<0 = unlimited)")
 	trainWorkers := flag.Int("train-workers", 2, "parallel server-side training jobs (0 disables /v1/train)")
 	trainQueue := flag.Int("train-queue", 8, "queued training jobs before submissions shed with 429")
-	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "requests slower than this keep their span tree at /debug/slowz (0 disables)")
-	slowLog := flag.Int("slow-log", 64, "slow-request ring size")
+	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "requests and train jobs this slow keep their span tree in the trace ring, served at /debug/slowz (0 = keep only errored/degraded; slowz off)")
+	slowLog := flag.Int("slow-log", 64, "trace ring size: span trees of slow, errored and degraded requests and train jobs at /debug/tracez and /debug/slowz (0 disables both)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	indexKind := flag.String("vecindex", "flat", "nearest-label vector index: flat (exact), ivf (approximate, sublinear), off (store scans)")
 	nprobe := flag.Int("nprobe", 4, "IVF sublists probed per query (higher = more accurate, slower)")
@@ -258,7 +263,7 @@ func main() {
 		TrainWorkers:  *trainWorkers,
 		TrainQueue:    *trainQueue,
 		SlowThreshold: *slowThreshold,
-		SlowLogSize:   *slowLog,
+		TraceRing:     *slowLog,
 		EnablePprof:   *enablePprof,
 		Logger:        logger,
 	}

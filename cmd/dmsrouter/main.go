@@ -18,7 +18,7 @@
 // per-node health and the membership epoch; /metricsz serves the
 // federated fleet exposition (every healthy shard's families relabeled
 // with node=<addr> plus dms_fleet_* aggregates); /debug/tracez serves
-// tail-retained span trees for slow, errored, and degraded requests
+// the retained span trees of slow, errored, and degraded requests
 // (/debug/slowz the slow ones alone); and -slo objectives surface as
 // dms_slo_* burn-rate families.
 //
@@ -60,8 +60,8 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-shard HTTP exchange timeout")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	sloSpec := flag.String("slo", "", "per-endpoint objectives, e.g. 'nearest:p99<5ms,err<0.1%;recommend:p95<20ms' (empty disables the SLO layer)")
-	traceRing := flag.Int("trace-ring", 256, "tail-based trace retention ring size (0 disables /debug/tracez)")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "retain any request slower than this, even when it succeeded, in /debug/tracez and /debug/slowz (0 = tracez keeps only errored/degraded; slowz off)")
+	traceRing := flag.Int("trace-ring", 256, "trace ring size: span trees of slow, errored and degraded requests at /debug/tracez and /debug/slowz (0 disables both)")
+	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "retain any request this slow, even when it succeeded (0 = keep only errored/degraded; slowz off)")
 	scrapeTimeout := flag.Duration("scrape-timeout", 2*time.Second, "per-request fleet metrics scrape budget for the federated /metricsz")
 	flag.Parse()
 

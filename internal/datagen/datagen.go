@@ -201,7 +201,7 @@ type CookieRegime struct {
 }
 
 // DefaultCookieRegime is a paper-like condition at a reduced 32×32 size
-// (the full detector is 128×128; see DESIGN.md on scaling).
+// (the full detector is 128×128).
 func DefaultCookieRegime() CookieRegime {
 	return CookieRegime{Size: 32, CenterE: 0.5, WidthE: 0.08, Beta: 0.6, Phase: 0.7, Counts: 220}
 }

@@ -42,7 +42,7 @@ type Fleet interface {
 }
 
 // degradedKey carries the per-request degraded marker. The server arms it
-// only while tail-based trace retention is on.
+// only when its trace ring could retain the request.
 type degradedKey struct{}
 
 // withDegradedFlag arms ctx with a degraded marker.
@@ -52,7 +52,7 @@ func withDegradedFlag(ctx context.Context) (context.Context, *atomic.Bool) {
 }
 
 // MarkDegraded flags the request ctx belongs to as answered without every
-// shard, so tail-based trace retention keeps its span tree. A no-op when
+// shard, so the server's trace ring keeps its span tree. A no-op when
 // the server did not arm the marker.
 func MarkDegraded(ctx context.Context) {
 	if f, _ := ctx.Value(degradedKey{}).(*atomic.Bool); f != nil {

@@ -59,8 +59,9 @@ type local struct {
 var errTrainingDisabled = errf(http.StatusNotFound, "train: training is disabled on this server")
 
 // newLocal builds the in-process backend, registers its metric families on
-// reg, and starts the trainer; slow receives finished train-job span trees.
-func newLocal(cfg ServerConfig, reg *obs.Registry, slow *obs.SlowLog) (*local, error) {
+// reg, and starts the trainer; retain receives finished train jobs.
+func newLocal(cfg ServerConfig, reg *obs.Registry,
+	retain func(name string, d time.Duration, err error, degraded bool, tr *obs.Trace)) (*local, error) {
 	if cfg.DS == nil || cfg.Zoo == nil {
 		return nil, errors.New("dmsapi: server needs both a data service and a model zoo")
 	}
@@ -85,13 +86,13 @@ func newLocal(cfg ServerConfig, reg *obs.Registry, slow *obs.SlowLog) (*local, e
 			// A checkpoint landing in the zoo invalidates memoized
 			// recommend results exactly like a client-side model add.
 			OnRegister: func(string) { l.zooGen.Add(1) },
-			// Job stage timings land in the same registry and slow-request
-			// ring as serving traffic: epoch durations under
-			// dms_train_epoch_seconds, and any job slower than the request
-			// threshold retains its span tree in /debug/slowz.
+			// Job stage timings land in the same registry and trace ring
+			// as serving traffic: epoch durations under
+			// dms_train_epoch_seconds, and a failed job or one slower than
+			// the request threshold keeps its span tree under train.job.
 			Obs: reg,
-			OnTrace: func(d time.Duration, dump obs.TraceDump) {
-				slow.Observe("train.job", d, time.Now(), func() obs.TraceDump { return dump })
+			OnTrace: func(d time.Duration, tr *obs.Trace, err error) {
+				retain("train.job", d, err, false, tr)
 			},
 			Logger: cfg.Logger,
 		})

@@ -1,6 +1,7 @@
 package dmsapi
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -249,7 +250,7 @@ func TestMetricszExposition(t *testing.T) {
 // nanosecond — everything is slow — and checks the ring serves entries with
 // full span trees, slowest first.
 func TestSlowzCapturesSlowRequests(t *testing.T) {
-	srv, client := startServer(t, ServerConfig{SlowThreshold: time.Nanosecond, SlowLogSize: 8})
+	srv, client := startServer(t, ServerConfig{SlowThreshold: time.Nanosecond, TraceRing: 8})
 	a, _ := twoRegimes(17, 24)
 	if _, err := client.Ingest("regime-a", a); err != nil {
 		t.Fatal(err)
@@ -308,6 +309,75 @@ func TestSlowzDisabledIs404(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("slowz without a threshold: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSlowzAndTracezReadOneRing checks that /debug/slowz is a view of the
+// one trace ring: with every request slow, a single data request shows up
+// in both routes as the same span tree, while the meta polls of /statsz
+// and /debug/slowz show up in neither and are not counted slow.
+func TestSlowzAndTracezReadOneRing(t *testing.T) {
+	srv, client := startServer(t, ServerConfig{SlowThreshold: time.Nanosecond, TraceRing: 16})
+	if _, err := client.Models(); err != nil {
+		t.Fatal(err)
+	}
+	var slowz SlowzResponse
+	for i := 0; i < 3; i++ {
+		if _, err := client.ServerStats(); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.DoJSON(context.Background(), "GET", PathSlow, nil, &slowz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tracez TracezResponse
+	if err := client.DoJSON(context.Background(), "GET", PathTraces, nil, &tracez); err != nil {
+		t.Fatal(err)
+	}
+	if len(slowz.Entries) != 1 || slowz.Entries[0].Endpoint != "models.list" || slowz.Total != 1 {
+		t.Fatalf("slowz = total %d, entries %+v; want only the models.list request", slowz.Total, slowz.Entries)
+	}
+	if len(tracez.Traces) != 1 || tracez.Traces[0].Op != "models.list" || tracez.Total != 1 {
+		t.Fatalf("tracez = total %d, traces %+v; want only the models.list request", tracez.Total, tracez.Traces)
+	}
+	if id := slowz.Entries[0].Trace.ID; id == "" || id != tracez.Traces[0].Trace.ID {
+		t.Errorf("slowz trace %q and tracez trace %q are not the same tree", id, tracez.Traces[0].Trace.ID)
+	}
+	if st := srv.Stats().Endpoints; st["statsz"].Count != 3 || st["slowz"].Count != 3 {
+		t.Errorf("meta polls not served: statsz %d, slowz %d", st["statsz"].Count, st["slowz"].Count)
+	}
+}
+
+// TestFailedTrainJobRetained checks that a train job that fails keeps its
+// span tree in the trace ring under train.job, although it was fast.
+func TestFailedTrainJobRetained(t *testing.T) {
+	_, client := startServer(t, ServerConfig{TrainWorkers: 1, TraceRing: 8, SlowThreshold: time.Hour})
+	if _, err := client.Ingest("scan-00", trainMeanSamples(1, 40)); err != nil {
+		t.Fatal(err)
+	}
+	req := trainRequest("never-trained")
+	req.Dataset = "no-such-scan"
+	job, err := client.SubmitTrain(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := client.WaitTrain(job.ID, 10*time.Millisecond, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "failed" {
+		t.Fatalf("job on a missing dataset ended %s", final.State)
+	}
+	var tracez TracezResponse
+	if err := client.DoJSON(context.Background(), "GET", PathTraces+"?op=train.job&error=true", nil, &tracez); err != nil {
+		t.Fatal(err)
+	}
+	if len(tracez.Traces) != 1 {
+		t.Fatalf("retained %d failed train.job trees, want 1: %+v", len(tracez.Traces), tracez.Traces)
+	}
+	e := tracez.Traces[0]
+	if e.Error == "" || spanIndex(e.Trace, "train_job") < 0 || spanIndex(e.Trace, "resolve_data") < 0 {
+		t.Errorf("failed job tree malformed: error %q, spans %v", e.Error, e.Trace.SpanNames())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,7 +29,6 @@ const (
 	defaultCacheSize    = 128
 	defaultMaxBodyBytes = 256 << 20 // 256 MiB: generous for sample batches, blocks runaway bodies
 	defaultMaxBatchDocs = 8192      // documents per ingest:batch request
-	defaultSlowLogSize  = 64        // slow-request ring entries
 )
 
 // ServerConfig wires a Server to its backend and tunes its behavior.
@@ -79,18 +79,17 @@ type ServerConfig struct {
 	// WAL-backed document store on /statsz (the "wal" key) and /metricsz
 	// (the dms_wal_* families). In-process only; nil omits the surface.
 	WalStats func() WalStats
-	// SlowThreshold is the latency above which a request counts as slow:
-	// its span tree is kept in the slow-request ring served at GET
-	// /debug/slowz, and — when TraceRing is on — in the tail ring too.
-	// Zero or negative disables the slow ring (the route answers 404) and
-	// with it the per-request tracing overhead for unsampled requests.
+	// SlowThreshold is the latency at which a request or train job counts
+	// as slow: it bumps the slow counter, and with TraceRing on its span
+	// tree is retained and served by GET /debug/slowz. Zero or negative
+	// keeps only errored and degraded trees, and /debug/slowz answers 404.
 	SlowThreshold time.Duration
-	// SlowLogSize bounds the slow-request ring (default 64 entries).
-	SlowLogSize int
-	// TraceRing sizes the tail-based trace retention ring behind GET
-	// /debug/tracez: every data request is traced, and its span tree kept
-	// if it errored, was answered degraded, or was slow. Zero or negative
-	// disables retention (the route answers 404).
+	// TraceRing sizes the one trace-retention ring, read by GET
+	// /debug/tracez and /debug/slowz: every data request and train job is
+	// traced, and its span tree kept if it errored, was answered degraded,
+	// or took at least SlowThreshold. Zero or negative disables retention
+	// and with it the per-request tracing cost of unsampled requests (both
+	// routes answer 404).
 	TraceRing int
 	// SLOs are the per-endpoint objectives evaluated over rolling windows
 	// (parse with obs.ParseSLOs), surfaced as the /statsz slo block and
@@ -107,9 +106,9 @@ type ServerConfig struct {
 // Server is the HTTP front end of both tiers: it serves a Backend's /v1
 // surface behind one middleware stack — body cap, bounded in-flight
 // admission with 429 shedding, trace build and propagation, per-endpoint
-// metrics, SLO scoring, slow and tail trace retention, the error
-// envelope, and failure logging — plus /statsz, /metricsz, the debug
-// rings and graceful shutdown. Safe for concurrent use.
+// metrics, SLO scoring, trace retention, the error envelope, and failure
+// logging — plus /statsz, /metricsz, the trace-ring views and graceful
+// shutdown. Safe for concurrent use.
 type Server struct {
 	cfg ServerConfig
 	b   Backend
@@ -139,10 +138,11 @@ type Server struct {
 	// /statsz counter is mirrored into it as a func-backed metric reading
 	// the same atomics, so the two surfaces cannot drift.
 	reg *obs.Registry
-	// slow is the slow-request ring behind /debug/slowz, traces the
-	// tail-retention ring behind /debug/tracez, slo the objectives.
-	slow   *obs.SlowLog
+	// traces is the retention ring behind /debug/tracez and /debug/slowz,
+	// slow counts requests and train jobs at or over SlowThreshold, slo
+	// holds the objectives.
 	traces *obs.TraceLog
+	slow   atomic.Int64
 	slo    *obs.SLOEvaluator
 
 	epErrors  *obs.CounterVec
@@ -168,9 +168,9 @@ const (
 	// exempt routes are never shed (see the train routes in NewServer).
 	exempt
 	// meta routes are the server's own observability surfaces: never
-	// shed, and neither SLO-scored nor tail-retained, so a dashboard
-	// polling /statsz cannot burn an error budget or wash real traces out
-	// of the ring.
+	// shed, and neither SLO-scored, counted slow nor retained, so a
+	// dashboard polling /statsz or /debug/slowz cannot burn an error
+	// budget or wash real traces out of the ring.
 	meta
 )
 
@@ -198,9 +198,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.MaxBatchDocs == 0 {
 		cfg.MaxBatchDocs = defaultMaxBatchDocs
 	}
-	if cfg.SlowLogSize == 0 {
-		cfg.SlowLogSize = defaultSlowLogSize
-	}
 	s := &Server{
 		cfg:     cfg,
 		b:       cfg.Backend,
@@ -208,7 +205,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		start:   time.Now(),
 		metrics: make(map[string]*endpointMetrics),
 		reg:     obs.NewRegistry(),
-		slow:    obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowThreshold),
 		traces:  obs.NewTraceLog(cfg.TraceRing),
 		slo:     obs.NewSLOEvaluator(cfg.SLOs),
 	}
@@ -220,7 +216,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	prefix := "dms_"
 	s.rootSpan = "request"
 	if s.b == nil {
-		l, err := newLocal(cfg, s.reg, s.slow)
+		l, err := newLocal(cfg, s.reg, s.retain)
 		if err != nil {
 			return nil, err
 		}
@@ -305,22 +301,21 @@ func (s *Server) registerMetrics(prefix string) {
 	r.CounterFunc(prefix+"shed_total", "requests rejected with 429 by admission control", s.shed.Load)
 	r.GaugeFunc(prefix+"in_flight", "requests currently being handled",
 		func() float64 { return float64(s.inFlight.Load()) })
-	r.CounterFunc(prefix+"slow_requests_total", "requests over the slow-log threshold", s.slow.Total)
+	r.CounterFunc(prefix+"slow_requests_total", "requests and train jobs at or over the slow threshold", s.slow.Load)
 	if s.traces.Enabled() {
-		r.CounterFunc(prefix+"retained_traces_total", "span trees retained by tail-based sampling", s.traces.Total)
+		r.CounterFunc(prefix+"retained_traces_total", "span trees retained in the trace ring (slow, errored or degraded)", s.traces.Total)
 	}
 	s.slo.Register(r)
 	s.epErrors = r.CounterVec(prefix+"endpoint_errors_total", "error responses by endpoint", "endpoint")
 	s.epLatency = r.HistogramVec(prefix+"endpoint_latency_seconds", "request latency by endpoint", "endpoint")
 }
 
-// route registers a handler behind the middleware stack. Three costs are
+// route registers a handler behind the middleware stack. Two costs are
 // paid only when something asks for them, so an unsampled request on a
-// daemon with no rings armed runs with a nil trace and every span call
-// no-ops: a trace is built only when the client sampled (X-Dms-Trace with
-// ;sample) or a retention ring is armed; the span trailer is encoded only
-// when the client sampled; and the degraded-flag context exists only while
-// the tail ring is on.
+// server without a trace ring runs with a nil trace and every span call
+// no-ops: a trace (with the degraded-flag context) is built only when the
+// client sampled (X-Dms-Trace with ;sample) or the ring could retain the
+// request, and the span trailer is encoded only when the client sampled.
 func (s *Server) route(pattern, name string, kind routeKind, h handler) {
 	m := &endpointMetrics{errors: s.epErrors.With(name), hist: s.epLatency.With(name)}
 	s.metrics[name] = m
@@ -345,22 +340,20 @@ func (s *Server) route(pattern, name string, kind routeKind, h handler) {
 		s.requests.Add(1)
 
 		id, sampled := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		tail := kind != meta && s.traces.Enabled()
+		retained := kind != meta && s.traces.Enabled()
 		var tr *obs.Trace
 		var root *obs.Span
-		if sampled || tail || s.slow.Enabled() {
-			// Tail retention marks the trace sampled internally so a
-			// router's shard calls carry the header and graft the shards'
-			// subtrees in, even when only the ring asked for the tree.
-			tr = obs.NewTrace(id, sampled || tail)
+		var degraded *atomic.Bool
+		if sampled || retained {
+			// Retention marks the trace sampled internally so a router's
+			// shard calls carry the header and graft the shards' subtrees
+			// in, even when only the ring asked for the tree.
+			tr = obs.NewTrace(id, sampled || retained)
 			ctx := obs.NewContext(r.Context(), tr)
 			ctx, root = obs.StartSpan(ctx, s.rootSpan)
-			r = r.WithContext(ctx)
-		}
-		var degraded *atomic.Bool
-		if tail {
-			var ctx context.Context
-			ctx, degraded = withDegradedFlag(r.Context())
+			if retained {
+				ctx, degraded = withDegradedFlag(ctx)
+			}
 			r = r.WithContext(ctx)
 		}
 		if sampled {
@@ -375,17 +368,12 @@ func (s *Server) route(pattern, name string, kind routeKind, h handler) {
 		d := time.Since(begin)
 		root.End()
 		m.observe(d, err != nil)
-		if tr != nil {
-			s.slow.Observe(name, d, time.Now(), tr.Dump)
-			if sampled {
-				w.Header().Set(obs.SpanHeader, obs.EncodeDump(tr.Dump()))
-			}
+		if sampled {
+			w.Header().Set(obs.SpanHeader, obs.EncodeDump(tr.Dump()))
 		}
 		if kind != meta {
 			s.slo.Observe(name, d, err != nil)
-			if tail {
-				s.retain(name, d, err, degraded.Load(), tr)
-			}
+			s.retain(name, d, err, degraded != nil && degraded.Load(), tr)
 		}
 		if err != nil {
 			s.logFailure(name, r, d, err)
@@ -401,11 +389,15 @@ func (m *endpointMetrics) observe(d time.Duration, failed bool) {
 	m.hist.Record(d)
 }
 
-// retain applies the tail-based retention decision to one finished
-// request: keep its span tree if it errored, was degraded, or was slow.
+// retain applies the one retention rule to a finished request or train
+// job: keep its span tree if it errored, was degraded, or took at least
+// SlowThreshold. The tree is dumped only when it is kept.
 func (s *Server) retain(name string, d time.Duration, err error, degraded bool, tr *obs.Trace) {
-	slow := s.slow.Enabled() && d >= s.slow.Threshold()
-	if err == nil && !degraded && !slow {
+	slow := s.cfg.SlowThreshold > 0 && d >= s.cfg.SlowThreshold
+	if slow {
+		s.slow.Add(1)
+	}
+	if !s.traces.Enabled() || (err == nil && !degraded && !slow) {
 		return
 	}
 	e := obs.TraceEntry{
@@ -717,25 +709,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// handleSlow serves the slow-request ring: the retained span trees of the
-// slowest recent requests, slowest first. 404 when the ring is disabled
-// (SlowThreshold <= 0), so probers can distinguish "off" from "empty".
+// handleSlow serves GET /debug/slowz, a view of the trace ring: the
+// retained span trees that took at least SlowThreshold, slowest first.
+// 404 when there is no threshold or no ring (SlowThreshold <= 0 or
+// TraceRing <= 0), so probers can distinguish "off" from "empty".
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) error {
-	entries, err := s.slow.Snapshot()
+	if s.cfg.SlowThreshold <= 0 {
+		return errf(http.StatusNotFound, "%v", obs.ErrDisabled)
+	}
+	threshold := durMS(s.cfg.SlowThreshold)
+	kept, err := s.traces.Query(obs.TraceQuery{MinMS: threshold})
 	if errors.Is(err, obs.ErrDisabled) {
 		return errf(http.StatusNotFound, "%v", err)
 	}
 	if err != nil {
-		return errf(http.StatusInternalServerError, "%v", err)
+		return errf(http.StatusInternalServerError, "slowz: %v", err)
 	}
-	return writeJSON(w, http.StatusOK, SlowzResponse{
-		ThresholdMS: durMS(s.slow.Threshold()),
-		Total:       s.slow.Total(),
-		Entries:     entries,
-	})
+	sort.SliceStable(kept, func(i, j int) bool { return kept[i].DurMS > kept[j].DurMS })
+	entries := make([]SlowEntry, len(kept))
+	for i, e := range kept {
+		entries[i] = SlowEntry{Endpoint: e.Op, DurMS: e.DurMS, At: e.At, Trace: e.Trace}
+	}
+	return writeJSON(w, http.StatusOK, SlowzResponse{ThresholdMS: threshold, Total: s.slow.Load(), Entries: entries})
 }
 
-// handleTraces serves GET /debug/tracez: the tail-retained span trees,
+// handleTraces serves GET /debug/tracez: the retained span trees,
 // newest first, filterable by ?op=&min_ms=&error=&degraded=. 404 when
 // the ring is disabled (TraceRing <= 0).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {

@@ -9,9 +9,9 @@
 //     server, so the wire contract lives in one place;
 //   - Server, the one HTTP front end of both dmsd and dmsrouter: the /v1
 //     surface over a Backend behind one middleware stack (body cap, 429
-//     admission shedding, tracing, per-endpoint metrics, SLOs, slow and
-//     tail trace rings, the error envelope) plus /statsz, /metricsz and
-//     graceful shutdown. With no Backend it serves this process's data
+//     admission shedding, tracing, per-endpoint metrics, SLOs, one
+//     trace-retention ring, the error envelope) plus /statsz, /metricsz
+//     and graceful shutdown. With no Backend it serves this process's data
 //     service and zoo, adding a singleflight-coalescing LRU for hot
 //     recommend/PDF queries and the training subsystem;
 //   - Client, a typed Go client with connection reuse and
@@ -492,18 +492,27 @@ type EndpointStats struct {
 	P999MS    float64 `json:"p999_ms"`
 }
 
-// SlowzResponse is the body of GET /debug/slowz: the retained
-// slow-request ring (slowest first), each entry carrying its full span
-// tree. 404 when the server runs without a slow threshold.
+// SlowzResponse is the body of GET /debug/slowz: the slow entries of the
+// trace-retention ring (slowest first), each carrying its full span tree.
+// 404 when the server runs without a slow threshold or without a ring.
 type SlowzResponse struct {
-	ThresholdMS float64         `json:"threshold_ms"`
-	Total       int64           `json:"total"` // requests over threshold since start
-	Entries     []obs.SlowEntry `json:"entries"`
+	ThresholdMS float64     `json:"threshold_ms"`
+	Total       int64       `json:"total"` // requests over threshold since start
+	Entries     []SlowEntry `json:"entries"`
 }
 
-// TracezResponse is the body of GET /debug/tracez: the tail-retained span
-// trees (errored, degraded, or slow requests), newest first. 404 when the
-// server runs without a trace ring.
+// SlowEntry is one retained slow request or train job: what it was, how
+// long it took, and its full span tree.
+type SlowEntry struct {
+	Endpoint string        `json:"endpoint"`
+	DurMS    float64       `json:"dur_ms"`
+	At       time.Time     `json:"at"`
+	Trace    obs.TraceDump `json:"trace"`
+}
+
+// TracezResponse is the body of GET /debug/tracez: the retained span
+// trees (errored, degraded, or slow requests and train jobs), newest
+// first. 404 when the server runs without a trace ring.
 type TracezResponse struct {
 	Total  int64            `json:"total_retained"`
 	Traces []obs.TraceEntry `json:"traces"`

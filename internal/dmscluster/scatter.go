@@ -96,7 +96,7 @@ func errNoShards(op string) error {
 
 // noteDegraded flags a merged response assembled without every shard,
 // both on the cluster-wide counter and on the request's own marker (read
-// by the router's tail-based trace retention). It is the single choke
+// by the router's trace-retention ring). It is the single choke
 // point every degraded merge passes through.
 func (c *Cluster) noteDegraded(ctx context.Context) {
 	c.degraded.Add(1)

@@ -6,7 +6,7 @@
 // bench_test.go wraps each in a testing.B benchmark.
 //
 // Scale note: workloads default to laptop-sized variants of the paper's
-// datasets (see DESIGN.md); Config fields let callers scale up.
+// datasets; Config fields let callers scale up.
 package experiments
 
 import (

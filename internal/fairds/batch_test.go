@@ -74,11 +74,11 @@ func TestIngestBatchMatchesSerial(t *testing.T) {
 
 	// And the index must have adopted them: nearest on an ingested sample
 	// finds an exact (distance ~0) neighbor.
-	_, _, dist, err := batched.NearestLabeledExcluding(a[0], nil)
+	nn, err := batched.NearestMatches(a[:1], false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist > 1e-9 {
+	if dist := nn[0].Dist; dist > 1e-9 {
 		t.Fatalf("nearest distance after batch ingest = %g, want ~0", dist)
 	}
 }

@@ -117,7 +117,8 @@ func BenchmarkNearest(b *testing.B) {
 				svc, query := benchServiceCfg(b, n, cfg)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, _, err := svc.NearestLabeledExcluding(query[i%len(query)], nil); err != nil {
+					q := i % len(query)
+					if _, err := svc.NearestMatches(query[q:q+1], false); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -478,86 +478,6 @@ func (s *Service) LookupLabeledContext(ctx context.Context, x *tensor.Tensor) ([
 	return out, nil
 }
 
-// NearestLabeled finds, for one unlabeled sample, the closest labeled
-// historical sample in embedding space using two-level search (cluster
-// first, then intra-cluster scan). It returns the sample and the embedding
-// distance — the |b − p| the Fig. 9 threshold rule compares against T.
-func (s *Service) NearestLabeled(sample *codec.Sample) (*codec.Sample, float64, error) {
-	_, smp, dist, err := s.NearestLabeledExcluding(sample, nil)
-	return smp, dist, err
-}
-
-// NearestLabeledExcluding is NearestLabeled with an exclusion set of
-// document IDs, letting callers that reuse many labels (Fig. 9's BO
-// construction) draw distinct historical samples. It also returns the
-// matched document's ID. A nil sample with +Inf distance means the cluster
-// holds no eligible documents.
-func (s *Service) NearestLabeledExcluding(sample *codec.Sample, exclude map[string]bool) (string, *codec.Sample, float64, error) {
-	if err := s.requireClusters(); err != nil {
-		return "", nil, 0, err
-	}
-	x, err := collate([]*codec.Sample{sample})
-	if err != nil {
-		return "", nil, 0, err
-	}
-	rows := embed.EmbedRows(s.embedder, x)
-	z := rows[0]
-	k, _ := s.km.PredictOne(z)
-
-	best := math.Inf(1)
-	bestID := ""
-	if s.indexReady() {
-		// In-process probe: no store round trip at all. An empty exclusion
-		// set passes nil so the slab scan skips the per-vector callback.
-		s.idxHits.Add(1)
-		var excl func(string) bool
-		if len(exclude) > 0 {
-			excl = func(id string) bool { return exclude[id] }
-		}
-		if res, ok := s.idx.Nearest(k, z, excl); ok {
-			best, bestID = res.Dist2, res.ID
-		}
-	} else {
-		// Cold fallback — projected scan: only embeddings travel, not
-		// payloads (the paper's §II-A "efficient lookup by embedding
-		// indexing" requirement, minus the in-process index).
-		s.idxMisses.Add(1)
-		docs, err := s.store.Find(docstore.Query{
-			Filters: []docstore.Filter{docstore.Eq("cluster", k)},
-			Project: []string{"embedding"},
-		})
-		if err != nil {
-			return "", nil, 0, fmt.Errorf("fairds: scanning cluster %d: %w", k, err)
-		}
-		for _, d := range docs {
-			if exclude[d.ID] {
-				continue
-			}
-			emb, ok := embedding(d, len(z))
-			if !ok {
-				s.noteCorrupt(d.ID, errBadEmbedding)
-				continue
-			}
-			if dist := tensor.SquaredDistance(z, emb); dist < best {
-				best = dist
-				bestID = d.ID
-			}
-		}
-	}
-	if bestID == "" {
-		return "", nil, math.Inf(1), nil
-	}
-	full, err := s.store.GetMany([]string{bestID})
-	if err != nil {
-		return "", nil, 0, err
-	}
-	smp, err := s.decodeDoc(full[0])
-	if err != nil {
-		return "", nil, 0, err
-	}
-	return bestID, smp, math.Sqrt(best), nil
-}
-
 // Match pairs an input sample with its nearest labeled historical document.
 type Match struct {
 	DocID string  // "" when the sample's cluster holds no eligible docs

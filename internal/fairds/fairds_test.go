@@ -214,19 +214,29 @@ func TestNearestLabeledFindsSimilar(t *testing.T) {
 	}
 
 	probeA, probeB := twoRegimes(9, 1)
-	nnA, distA, err := svc.NearestLabeled(probeA[0])
+	mA, err := svc.NearestMatches(probeA, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var nnA *codec.Sample
+	if mA[0].DocID != "" {
+		got, err := svc.GetSamples([]string{mA[0].DocID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nnA = got[0]
+	}
+	distA := mA[0].Dist
 	if nnA == nil || math.IsInf(distA, 1) {
 		t.Fatal("no neighbor found for regime-A probe")
 	}
 	// The neighbor of an A-probe should be much closer than the distance
 	// from an A-probe to a B-probe embedding.
-	_, distB, err := svc.NearestLabeled(probeB[0])
+	mB, err := svc.NearestMatches(probeB, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	distB := mB[0].Dist
 	if distA < 0 || distB < 0 {
 		t.Fatal("negative distances")
 	}
@@ -335,11 +345,11 @@ func TestReindexAfterEmbedderSwap(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("post-reindex lookup returned %d", len(got))
 	}
-	_, _, dist, err := svc.NearestLabeledExcluding(qa[0], nil)
+	nn, err := svc.NearestMatches(qa[:1], false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsInf(dist, 1) {
+	if math.IsInf(nn[0].Dist, 1) {
 		t.Fatal("post-reindex NN search found nothing (stale embedding dims?)")
 	}
 }

@@ -1,7 +1,7 @@
-// Package loadgen is a closed-loop load generator for a live dmsd: a pool
-// of workers drives the daemon with a weighted mix of the serving-path
-// operations (batch ingest, certainty, nearest-label, recommend, and
-// end-to-end server-side train jobs), measures
+// Package loadgen is a closed-loop load generator for a live dmsd or
+// dmsrouter: a pool of workers drives the server with a weighted mix of
+// the serving-path operations (batch ingest, certainty, nearest-label,
+// recommend, and end-to-end server-side train jobs), measures
 // client-side latency into lock-free histograms (internal/hdrhist), and
 // emits a machine-readable report — the BENCH_dmsapi.json artifact that
 // records the serving tier's performance trajectory across PRs.
@@ -91,10 +91,6 @@ type Config struct {
 	TraceSample int
 	// TraceKeep bounds retained trace samples (default 8).
 	TraceKeep int
-	// Cluster marks Addr as a dmsrouter rather than a single dmsd. The
-	// /v1 surface is identical, so the workload runs unchanged; only the
-	// /statsz before/after delta is skipped, leaving Report.Server nil.
-	Cluster bool
 	// Logf, when set, receives progress lines (e.g. log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -212,7 +208,8 @@ type TraceSample struct {
 	Trace obs.TraceDump `json:"trace"`
 }
 
-// ServerDelta is what the run did to the daemon, from /statsz snapshots
+// ServerDelta is what the run did to the server — a dmsd or a dmsrouter,
+// whose /statsz is the same dmsapi.Stats — from /statsz snapshots
 // taken before and after the measured phase. Endpoint percentiles are
 // lifetime values (histograms are cumulative), so only counts are deltas.
 type ServerDelta struct {
@@ -356,12 +353,9 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	var before dmsapi.Stats
-	if !cfg.Cluster {
-		before, err = client.ServerStats()
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: /statsz before: %w", err)
-		}
+	before, err := client.ServerStats()
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: /statsz before: %w", err)
 	}
 
 	logf("loadgen: driving %s with %d workers for %v (mix %v)",
@@ -393,12 +387,9 @@ func Run(cfg Config) (*Report, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var after dmsapi.Stats
-	if !cfg.Cluster {
-		after, err = client.ServerStats()
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: /statsz after: %w", err)
-		}
+	after, err := client.ServerStats()
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: /statsz after: %w", err)
 	}
 
 	rep := assemble(cfg, start, elapsed, counters, before, after)
@@ -579,10 +570,6 @@ func assemble(cfg Config, start time.Time, elapsed time.Duration, counters map[O
 	if elapsed > 0 {
 		rep.ThroughputRPS = float64(rep.TotalRequests) / elapsed.Seconds()
 	}
-	if cfg.Cluster {
-		return rep // no single-daemon /statsz delta behind a router
-	}
-
 	delta := &ServerDelta{
 		Requests:  after.Requests - before.Requests,
 		Shed:      after.Shed - before.Shed,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fairdms/internal/dmsapi"
+	"fairdms/internal/dmscluster"
 	"fairdms/internal/docstore"
 	"fairdms/internal/embed"
 	"fairdms/internal/fairds"
@@ -120,6 +121,67 @@ func TestRunMixedWorkload(t *testing.T) {
 	}
 	if rep.ThroughputRPS <= 0 || rep.DurationSeconds <= 0 {
 		t.Fatalf("throughput/duration not populated: %+v", rep)
+	}
+}
+
+// TestRunAgainstRouter drives a one-shard dmsrouter. The router's /statsz
+// is the same dmsapi.Stats as a daemon's, so the report carries its
+// before/after delta, and the router counted exactly the client's
+// requests.
+func TestRunAgainstRouter(t *testing.T) {
+	cluster, err := dmscluster.New(dmscluster.Config{
+		Shards: []string{startDaemon(t)}, BootstrapK: 4, Seed: 1, ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	router, err := dmsapi.NewServer(dmsapi.ServerConfig{Backend: cluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := router.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		router.Shutdown(ctx)
+	})
+
+	rep, err := Run(Config{
+		Addr:     addr,
+		Workers:  2,
+		Duration: 400 * time.Millisecond,
+		Mix: map[Op]int{
+			OpIngestBatch: 1, OpCertainty: 1, OpNearest: 1, OpRecommend: 1,
+		},
+		BatchSize: 16,
+		QuerySize: 4,
+		SetupDocs: 64,
+		Seed:      9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TotalErrors != 0 || rep.TotalRequests == 0 {
+		t.Fatalf("run: %d requests, %d errors: %+v", rep.TotalRequests, rep.TotalErrors, rep.Ops)
+	}
+	if rep.Server == nil {
+		t.Fatal("no server delta against a router")
+	}
+	// The delta also holds the closing /statsz poll itself.
+	if got := rep.Server.Requests - 1; got != rep.TotalRequests || rep.Server.Errors != 0 {
+		t.Fatalf("router saw %d requests (%d errors), client sent %d", got, rep.Server.Errors, rep.TotalRequests)
+	}
+	for op, endpoint := range map[Op]string{
+		OpIngestBatch: "data.ingest_batch", OpCertainty: "data.certainty",
+		OpNearest: "data.nearest", OpRecommend: "models.recommend",
+	} {
+		if got, want := rep.Server.Endpoints[endpoint].Count, rep.Ops[string(op)].Count; got != want {
+			t.Errorf("router %s count %d, client %s count %d", endpoint, got, op, want)
+		}
 	}
 }
 

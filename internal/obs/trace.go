@@ -1,7 +1,7 @@
 // Package obs is the repo's stdlib-only observability kit: request-scoped
 // tracing (Trace/Span trees with monotonic timings and context
 // propagation), a central metrics Registry with Prometheus-text
-// exposition, and a ring-buffer slow-request log. It exists so every tier
+// exposition, and a trace-retention ring. It exists so every tier
 // of the serving stack — dmsapi client, dmsd handlers, fairds stages,
 // the trainer, and the docstore TCP client — reports timing through one
 // vocabulary instead of hand-kept counters per package.
@@ -33,7 +33,7 @@ const (
 
 // maxSpans caps a single trace's span count so a runaway loop (one span
 // per document in a huge batch, say) degrades to dropped spans rather than
-// unbounded memory held by the slow-request log.
+// unbounded memory held by the trace-retention ring.
 const maxSpans = 256
 
 // Trace is one request's span tree. Spans are stored flat with parent

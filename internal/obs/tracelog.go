@@ -1,17 +1,16 @@
 package obs
 
 import (
+	"errors"
 	"sync"
 	"time"
 )
 
-// TraceLog is the tail-based retention ring behind /debug/tracez: the
-// router keeps full span trees for the requests worth keeping — slow,
-// errored, or degraded — regardless of whether the client asked for
-// sampling. Where SlowLog answers "what did the slowest requests do",
-// TraceLog answers "show me the trace of the request that failed / ran
-// degraded five minutes ago", filterable by operation, duration floor,
-// and error/degraded state.
+// ErrDisabled is returned by read surfaces of switched-off subsystems —
+// TraceLog.Query on a zero-size ring. API handlers map it to 404 Not
+// Found (see the errboundary sentinel table): the route exists, the
+// feature is off.
+var ErrDisabled = errors.New("obs: subsystem disabled")
 
 // TraceEntry is one retained request trace.
 type TraceEntry struct {
@@ -48,8 +47,13 @@ func (q TraceQuery) matches(e TraceEntry) bool {
 	return true
 }
 
-// TraceLog is a bounded ring of retained traces. Safe for concurrent use;
-// a nil or zero-size log is a disabled no-op.
+// TraceLog is the bounded trace-retention ring behind /debug/tracez and
+// /debug/slowz: a server keeps the span trees of the requests worth
+// keeping — slow, errored, or degraded — whether or not the client asked
+// for sampling, so "why was this slow?" and "why did this fail?" are
+// answered from memory. Which requests are worth keeping is the caller's
+// rule; the ring bounds what it is given and filters it on read. Safe for
+// concurrent use; a nil or zero-size log is a disabled no-op.
 type TraceLog struct {
 	mu    sync.Mutex
 	ring  []TraceEntry

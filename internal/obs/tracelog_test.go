@@ -72,5 +72,8 @@ func TestTraceLogDisabled(t *testing.T) {
 		if l.Enabled() {
 			t.Error("disabled log claims enabled")
 		}
+		if l.Total() != 0 {
+			t.Errorf("disabled log Total = %d, want 0", l.Total())
+		}
 	}
 }

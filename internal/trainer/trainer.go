@@ -224,10 +224,11 @@ type Config struct {
 	// registry must not already hold that name.
 	Obs *obs.Registry
 	// OnTrace, when set, fires as each job reaches a terminal state with
-	// its wall time and span tree (resolve_data → pdf → recommend → fit,
-	// with fairds stage spans underneath) — the dmsapi server routes these
-	// into the same slow-request log as serving traffic.
-	OnTrace func(d time.Duration, dump obs.TraceDump)
+	// its wall time, its span tree (resolve_data → pdf → recommend → fit,
+	// with fairds stage spans underneath) and the error that ended it, if
+	// any (a panic included; nil for a finished job) — the dmsapi server
+	// applies the same retention rule to these as to serving traffic.
+	OnTrace func(d time.Duration, tr *obs.Trace, err error)
 	// Logger receives job-lifecycle events (failures at warn, the rest at
 	// debug); nil silences them.
 	Logger *obs.Logger
@@ -647,15 +648,13 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	if j.ctx.Err() != nil { // canceled between pickup and start
 		return false, nil
 	}
-	if m.testHookBeforeTrain != nil {
-		m.testHookBeforeTrain(j.status.ID)
-	}
 	spec := j.spec
 
 	// Jobs get the same span treatment as requests: a trace is built only
 	// when someone is listening (cfg.OnTrace), otherwise every span call
 	// below no-ops on a nil trace. The defer fires on every terminal path —
-	// done, failed, canceled, even a panic unwinding through runSafely.
+	// done, failed, canceled, even a panic, which it reports as the job's
+	// error before letting it unwind on into runSafely.
 	var tr *obs.Trace
 	if m.cfg.OnTrace != nil {
 		tr = obs.NewTrace("", false)
@@ -665,10 +664,18 @@ func (m *Manager) run(j *job) (committed bool, err error) {
 	jobStart := time.Now()
 	defer func() {
 		root.End()
-		if tr != nil {
-			m.cfg.OnTrace(time.Since(jobStart), tr.Dump())
+		if tr == nil {
+			return
 		}
+		if r := recover(); r != nil {
+			defer panic(r)
+			err = fmt.Errorf("panic: %v", r)
+		}
+		m.cfg.OnTrace(time.Since(jobStart), tr, err)
 	}()
+	if m.testHookBeforeTrain != nil {
+		m.testHookBeforeTrain(j.status.ID)
+	}
 
 	// Resolve the training set: inline samples or a stored dataset tag.
 	samples := spec.Samples

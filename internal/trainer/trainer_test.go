@@ -3,6 +3,7 @@ package trainer
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"fairdms/internal/embed"
 	"fairdms/internal/fairds"
 	"fairdms/internal/fairms"
+	"fairdms/internal/obs"
 )
 
 const (
@@ -359,6 +361,71 @@ func TestPanicSafety(t *testing.T) {
 	}
 	if s := m.Stats(); s.Failed != 1 || s.Completed != 1 {
 		t.Fatalf("stats %+v, want 1 failed / 1 completed", s)
+	}
+}
+
+// TestOnTraceReportsJobError checks that OnTrace hands over every job's
+// span tree with the error that ended it: a panic and a failure each
+// arrive as an error, a finished job and one that stopped cleanly on
+// cancel as nil.
+func TestOnTraceReportsJobError(t *testing.T) {
+	m, _, _ := newFixture(t, 1, 4)
+	type traced struct {
+		spans []string
+		err   error
+	}
+	got := make(chan traced, 4)
+	m.cfg.OnTrace = func(_ time.Duration, tr *obs.Trace, err error) {
+		got <- traced{tr.Dump().SpanNames(), err}
+	}
+	armed := true
+	m.testHookBeforeTrain = func(id string) {
+		if armed {
+			armed = false
+			panic("injected crash in job " + id)
+		}
+	}
+
+	ok := mlpSpec(meanSamples(6, 32))
+	ok.Epochs, ok.TargetLoss = 3, 0
+	missing := ok
+	missing.Samples, missing.Dataset = nil, "no-such-dataset"
+	long := mlpSpec(meanSamples(4, 256))
+	long.BatchSize, long.Epochs, long.TargetLoss = 4, 10_000_000, 0
+	for i, spec := range []Spec{ok, missing, ok, long} {
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Epochs == long.Epochs {
+			waitState(t, m, st.ID, 10*time.Second, func(s *Status) bool { return s.State == StateRunning })
+			if _, err := m.Cancel(st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		final := waitTerminal(t, m, st.ID)
+		tr := <-got
+		if !slices.Contains(tr.spans, "train_job") {
+			t.Errorf("job %d: span tree %v has no train_job root", i, tr.spans)
+		}
+		switch i {
+		case 0:
+			if tr.err == nil || !strings.Contains(tr.err.Error(), "panic") || final.State != StateFailed {
+				t.Errorf("panicking job: OnTrace err %v, state %s", tr.err, final.State)
+			}
+		case 1:
+			if tr.err == nil || final.State != StateFailed || tr.err.Error() != final.Err {
+				t.Errorf("failed job: OnTrace err %v, state %s (%q)", tr.err, final.State, final.Err)
+			}
+		case 2:
+			if tr.err != nil || final.State != StateDone {
+				t.Errorf("finished job: OnTrace err %v, state %s", tr.err, final.State)
+			}
+		case 3:
+			if tr.err != nil || final.State != StateCanceled {
+				t.Errorf("canceled job: OnTrace err %v, state %s", tr.err, final.State)
+			}
+		}
 	}
 }
 
