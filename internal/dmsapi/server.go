@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -718,14 +717,13 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusNotFound, "%v", obs.ErrDisabled)
 	}
 	threshold := durMS(s.cfg.SlowThreshold)
-	kept, err := s.traces.Query(obs.TraceQuery{MinMS: threshold})
+	kept, err := s.traces.Slow(threshold)
 	if errors.Is(err, obs.ErrDisabled) {
 		return errf(http.StatusNotFound, "%v", err)
 	}
 	if err != nil {
 		return errf(http.StatusInternalServerError, "slowz: %v", err)
 	}
-	sort.SliceStable(kept, func(i, j int) bool { return kept[i].DurMS > kept[j].DurMS })
 	entries := make([]SlowEntry, len(kept))
 	for i, e := range kept {
 		entries[i] = SlowEntry{Endpoint: e.Op, DurMS: e.DurMS, At: e.At, Trace: e.Trace}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"time"
 )
@@ -119,4 +120,16 @@ func (l *TraceLog) Query(q TraceQuery) ([]TraceEntry, error) {
 		}
 	}
 	return out, nil
+}
+
+// Slow is the slow-log view of the ring behind /debug/slowz: the retained
+// traces that took at least minMS, slowest first (equal durations newest
+// first). When the log is disabled it returns ErrDisabled.
+func (l *TraceLog) Slow(minMS float64) ([]TraceEntry, error) {
+	kept, err := l.Query(TraceQuery{MinMS: minMS})
+	if err != nil {
+		return nil, err
+	}
+	sort.SliceStable(kept, func(i, j int) bool { return kept[i].DurMS > kept[j].DurMS })
+	return kept, nil
 }

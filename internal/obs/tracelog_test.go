@@ -77,3 +77,33 @@ func TestTraceLogDisabled(t *testing.T) {
 		}
 	}
 }
+
+func TestSlowLog(t *testing.T) {
+	l := NewTraceLog(3)
+	at := time.Unix(1754649600, 0)
+	l.Add(TraceEntry{Op: "fast.op", DurMS: 5, At: at, Error: "kept for its error"})
+	l.Add(TraceEntry{Op: "a", DurMS: 20, At: at})
+	l.Add(TraceEntry{Op: "b", DurMS: 40, At: at})
+	l.Add(TraceEntry{Op: "c", DurMS: 30, At: at}) // evicts fast.op
+	l.Add(TraceEntry{Op: "d", DurMS: 30, At: at}) // evicts a
+	entries, err := l.Slow(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 || entries[0].Op != "b" || entries[1].Op != "d" || entries[2].Op != "c" {
+		t.Fatalf("Slow = %+v, want b,d,c: slowest first, ties newest first", entries)
+	}
+	if entries, _ := l.Slow(35); len(entries) != 1 || entries[0].Op != "b" {
+		t.Errorf("Slow(35) = %+v, want only b", entries)
+	}
+	if l.Total() != 5 {
+		t.Errorf("Total = %d, want 5", l.Total())
+	}
+
+	for _, off := range []*TraceLog{nil, NewTraceLog(0)} {
+		off.Add(TraceEntry{Op: "x", DurMS: 1e6})
+		if _, err := off.Slow(0); !errors.Is(err, ErrDisabled) {
+			t.Errorf("disabled Slow err = %v, want ErrDisabled", err)
+		}
+	}
+}
